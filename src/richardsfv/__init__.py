@@ -2,7 +2,6 @@
 equation, built around a nonlinearity-continuation driver with
 interchangeable Newton / Picard / mixed nonlinear solvers."""
 
-from ._kernels import BACKEND
 from .benchmarks import (build_dam, build_layered_slab, build_preset,
                          build_verification_linear, dam_conductivity)
 from .constitutive import (UnconfinedParams, VgmParams, continuation_kr,
@@ -25,3 +24,7 @@ from .solvers import (CONVERGED, DIVERGED, LINE_SEARCH_FAILED,
                       solve_nonlinear)
 
 __version__ = "0.1.0"
+
+# The kernel implementation, recorded in benchmark run manifests; the
+# numpy kernels in _kernels are the only one.
+BACKEND = "python"

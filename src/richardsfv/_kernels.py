@@ -1,9 +1,9 @@
-"""Pure numpy implementation of the hot assembly kernels.
+"""Vectorized numpy kernels for constitutive curves and face assembly.
 
-This module defines the backend contract; the compiled extension in
-``_fast.pyx`` implements the same functions with identical semantics.
-All functions are free of Python-level state so either backend can be
-swapped in at import time.
+All functions are free of Python-level state. Callers reach them
+through this module's attributes (``_kernels.face_system``) rather than
+importing the names, so a wrapper installed on the module sees every
+call.
 """
 
 import numpy as np

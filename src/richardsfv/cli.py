@@ -1,5 +1,5 @@
-"""Command-line interface: run presets or config-defined problems,
-solver-comparison sweeps, and the kernel backend benchmark.
+"""Command-line interface: run presets or config-defined problems and
+solver-comparison sweeps.
 
 Exit codes: 0 on success, 1 on usage/config errors, 2 when the
 continuation fails to reach q = 1 (sweeps always exit 0 once all
@@ -10,12 +10,8 @@ import argparse
 import configparser
 import os
 import sys
-import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
-import numpy as np
-
-from . import _kernels
 from .benchmarks import build_preset, preset_names
 from .continuation import (ContinuationConfig, make_entries,
                            run_continuation, sweep)
@@ -64,11 +60,6 @@ def _build_parser():
     pw.add_argument("--solvers", help="comma list (default "
                                       "newton,picard,mixed)")
     pw.add_argument("--kinds", help="comma list (default linear,power)")
-
-    pb = sub.add_parser("bench", parents=[common],
-                        help="time the assembly kernels of both backends")
-    pb.add_argument("--repeat", type=int, default=20,
-                    help="calls per measurement (default 20)")
     return p
 
 
@@ -102,18 +93,22 @@ def _typed(section, key, raw, typ):
 
 def _section_into(cp, section, defaults):
     """Overlay config values onto a dataclass instance, type-checked
-    against the field defaults."""
+    against the field defaults. A key naming a nested config (warmup,
+    line_search) is rejected: its fields belong in their own section."""
     if not cp.has_section(section):
         return defaults
+    names = {f.name for f in fields(defaults)}
     updates = {}
     for key in cp.options(section):
-        if not hasattr(defaults, key):
+        if key not in names:
             raise UsageError(
                 f"config [{section}] has unknown key {key!r}")
         cur = getattr(defaults, key)
-        typ = type(cur) if not isinstance(cur, bool) else bool
-        if isinstance(cur, (int, float, str)):
-            updates[key] = _typed(section, key, cp.get(section, key), typ)
+        if not isinstance(cur, (int, float, str)):
+            raise UsageError(
+                f"config [{section}] {key} is a section of its own; "
+                f"set its fields under [{key}]")
+        updates[key] = _typed(section, key, cp.get(section, key), type(cur))
     try:
         return replace(defaults, **updates)
     except ValueError as exc:
@@ -250,46 +245,6 @@ def cmd_sweep(args):
     return 0
 
 
-def cmd_bench(args):
-    cp = _read_config(args.config)
-    preset, spec = _build_problem(args, cp)
-    repeat = max(1, args.repeat)
-
-    backends = ["python"]
-    try:
-        _kernels.get_backend("compiled")
-        backends.append("compiled")
-    except ImportError:
-        print("compiled backend not built; timing python only")
-
-    rng = np.random.default_rng(0)
-    print(f"benchmark on {preset}, {spec.mesh.n_cells} cells, "
-          f"{repeat} calls per timing")
-    timings = {}
-    for name in backends:
-        kern = _kernels.get_backend(name)
-        disc = Discretization(spec, "tpfa", kernels=kern)
-        h = 6.0 + rng.standard_normal(spec.mesh.n_cells)
-        disc.residual(h, 1.0, "power")  # warm up
-        t0 = time.perf_counter()
-        for _ in range(repeat):
-            disc.residual(h, 1.0, "power")
-        t_res = (time.perf_counter() - t0) / repeat
-        t0 = time.perf_counter()
-        for _ in range(repeat):
-            disc.assemble_jacobian(h, 1.0, "power")
-        t_jac = (time.perf_counter() - t0) / repeat
-        timings[name] = (t_res, t_jac)
-        print(f"  {name:9s} residual {t_res * 1e3:8.3f} ms   "
-              f"jacobian {t_jac * 1e3:8.3f} ms")
-    if len(backends) == 2:
-        pr, pj = timings["python"]
-        cr, cj = timings["compiled"]
-        print(f"  speedup   residual {pr / cr:8.2f} x    "
-              f"jacobian {pj / cj:8.2f} x")
-    return 0
-
-
 def main(argv=None):
     parser = _build_parser()
     try:
@@ -304,8 +259,6 @@ def main(argv=None):
             return cmd_solve(args)
         if args.command == "sweep":
             return cmd_sweep(args)
-        if args.command == "bench":
-            return cmd_bench(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -178,19 +178,17 @@ def _kind_code(kind):
             "(expected 'linear' or 'power')") from None
 
 
-def cell_curves(model, h, z_centroid, z_min, z_max, kernels=None):
+def cell_curves(model, h, z_centroid, z_min, z_max):
     """Vectorized (theta, dtheta_dh, kr, dkr_dh) for an array of cells.
 
     VGM evaluates at psi = h - z_centroid; the unconfined model uses the
-    cell vertical extents directly. `kernels` overrides the backend
-    (benchmark hook).
+    cell vertical extents directly.
     """
-    kern = kernels or _kernels
     if isinstance(model, VgmParams):
-        return kern.vgm_curves(
+        return _kernels.vgm_curves(
             h - z_centroid, model.theta_r, model.theta_s,
             model.alpha, model.n)
-    th, dth, kr, dkr, n_clamped = kern.unconf_curves(
+    th, dth, kr, dkr, n_clamped = _kernels.unconf_curves(
         h, z_min, z_max, model.phi, model.alpha_phi, model.alpha_theta,
         UNCONF_FLOOR)
     if n_clamped:

@@ -226,13 +226,12 @@ class Discretization:
     evaluation and sparse-value fills over fixed patterns.
     """
 
-    def __init__(self, spec, scheme="tpfa", kernels=None):
+    def __init__(self, spec, scheme="tpfa"):
         if scheme not in SCHEMES:
             raise ValueError(
                 f"unknown scheme {scheme!r} (supported: {', '.join(SCHEMES)})")
         self.spec = spec
         self.scheme = scheme
-        self._k = kernels or _kernels
         mesh = spec.mesh
         self.n_cells = mesh.n_cells
 
@@ -275,8 +274,7 @@ class Discretization:
                     medium.model,
                     np.array([dval[int(f)]]),
                     mesh.cell_centroid[c, 1:2],
-                    mesh.cell_zmin[c:c + 1], mesh.cell_zmax[c:c + 1],
-                    kernels=self._k)
+                    mesh.cell_zmin[c:c + 1], mesh.cell_zmax[c:c + 1])
                 self.kr_dir[i] = kr[0]
 
         self._build_patterns()
@@ -326,13 +324,13 @@ class Discretization:
         for model, ids in self.groups:
             th, dth, k, dk = cell_curves(
                 model, h[ids], self.z_c[ids],
-                self.z_min[ids], self.z_max[ids], kernels=self._k)
+                self.z_min[ids], self.z_max[ids])
             theta[ids], dtheta[ids], kr[ids], dkr[ids] = th, dth, k, dk
         return theta, dtheta, kr, dkr
 
     def _face_system(self, h, q, kind, need_deriv):
         _, _, kr, dkr = self.cell_state(h)
-        return self._k.face_system(
+        return _kernels.face_system(
             h, kr, dkr, self.kr_dir, self.cell_l, self.cell_r,
             self.ptr, self.col, self.w, self.g,
             float(q), _kind_code(kind), self.mode_code, need_deriv)
@@ -340,7 +338,7 @@ class Discretization:
     def residual(self, h, q, kind):
         """F(h) assembled directly (used by line-search trials)."""
         flux0, K, _, _ = self._face_system(h, q, kind, False)
-        return self._k.scatter_faces(
+        return _kernels.scatter_faces(
             K * flux0, self.cell_l, self.cell_r, self.n_cells) - self.b_base
 
     def assemble(self, h, q, kind):
@@ -352,9 +350,9 @@ class Discretization:
             shape=(self.n_cells, self.n_cells)).tocsr()
         A.sum_duplicates()
         A.sort_indices()
-        b = self.b_base - self._k.scatter_faces(
+        b = self.b_base - _kernels.scatter_faces(
             K * self.g, self.cell_l, self.cell_r, self.n_cells)
-        F = self._k.scatter_faces(
+        F = _kernels.scatter_faces(
             K * flux0, self.cell_l, self.cell_r, self.n_cells) - self.b_base
         return Assembly(A=A, b=b, F=F)
 
@@ -380,7 +378,7 @@ class Discretization:
         J.sum_duplicates()
         J.sort_indices()
         if with_residual:
-            F = self._k.scatter_faces(
+            F = _kernels.scatter_faces(
                 K * flux0, self.cell_l, self.cell_r, self.n_cells) \
                 - self.b_base
             return J, F
@@ -402,12 +400,9 @@ class Discretization:
         the mesh cell-face adjacency (independent of residual scatter)."""
         mesh = self.spec.mesh
         flux = self.face_fluxes(h, q, kind)
-        imb = np.empty(self.n_cells)
         rhs = self.spec.source_per_cell() * mesh.cell_area
-        for c in range(self.n_cells):
-            fids, sgns = mesh.faces_of_cell(c)
-            imb[c] = float((flux[fids] * sgns).sum() - rhs[c])
-        return imb
+        return np.add.reduceat(flux[mesh.cf_face] * mesh.cf_sign,
+                               mesh.cf_ptr[:-1]) - rhs
 
 
 def assemble(spec, h, q, kind, scheme="tpfa"):

@@ -1,9 +1,8 @@
 """Sparse linear solves for the assembled systems.
 
-Small systems go straight to a dense factorization; larger ones use
-BiCGStab with an incomplete-LU preconditioner and fall back to a sparse
-direct factorization on breakdown or stagnation. Every solve recomputes
-the true residual so a returned success is trustworthy.
+Every system is factorized by sparse LU (SuperLU through
+``scipy.sparse.linalg.splu``). The true residual is recomputed after
+each solve, so a returned solution is one whose residual was checked.
 """
 
 from dataclasses import dataclass
@@ -14,7 +13,9 @@ import scipy.sparse.linalg as spla
 
 __all__ = ["LinearSolveReport", "SingularMatrixError", "solve"]
 
-DENSE_CUTOFF = 2000
+# Largest accepted ||A x - b||_2 / ||b||_2; a solve that leaves more
+# raises SingularMatrixError and the nonlinear step fails.
+MAX_REL_RESIDUAL = 1e-6
 
 
 class SingularMatrixError(RuntimeError):
@@ -23,11 +24,12 @@ class SingularMatrixError(RuntimeError):
 
 @dataclass
 class LinearSolveReport:
-    """Outcome of one linear solve.
+    """Outcome of one successful linear solve.
 
     rel_residual is the true ||A x - b||_2 / ||b||_2 recomputed after
-    the solve (0 when b = 0 and x = 0). iterations counts Krylov
-    iterations; direct solves report 0.
+    the solve (0 when b = 0 and x = 0). method is "splu", or "trivial"
+    for b = 0. A direct solve takes no iterations and a failed one
+    raises, so iterations is 0 and breakdown is False.
     """
 
     iterations: int
@@ -53,23 +55,13 @@ def _check_matrix(A, b):
     return A, b
 
 
-def _true_residual(A, x, b, bnorm):
-    if bnorm == 0.0:
-        return float(np.linalg.norm(A @ x - b))
-    return float(np.linalg.norm(A @ x - b) / bnorm)
-
-
-def solve(A, b, tol=1e-12, maxit=2000, use_precond=True):
-    """Solve A x = b to relative 2-norm tolerance tol.
+def solve(A, b):
+    """Solve A x = b by sparse LU and check the true residual.
 
     Parameters
     ----------
-    A : scipy CSR matrix (or array-like convertible to one)
+    A : scipy sparse matrix (or array-like convertible to one)
     b : vector
-    tol : float in (0, 1)
-    maxit : Krylov iteration cap
-    use_precond : bool
-        Disable to run plain BiCGStab (testing hook).
 
     Returns
     -------
@@ -78,67 +70,21 @@ def solve(A, b, tol=1e-12, maxit=2000, use_precond=True):
     Raises
     ------
     SingularMatrixError
-        For structurally or numerically singular systems.
+        For structurally or numerically singular systems: an empty row,
+        a failed factorization, or a relative residual that is not
+        finite or not below MAX_REL_RESIDUAL.
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     A, b = _check_matrix(A, b)
-    n = A.shape[0]
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros(n), LinearSolveReport(0, 0.0, False, "trivial")
-
-    if n <= DENSE_CUTOFF:
-        return _solve_dense(A, b, bnorm, tol)
-
-    x, iters = _bicgstab(A, b, tol, maxit, use_precond)
-    if x is not None:
-        res = _true_residual(A, x, b, bnorm)
-        if res <= 10.0 * tol:
-            return x, LinearSolveReport(iters, res, False, "bicgstab")
-    # breakdown or stagnation: sparse direct fallback
+        return np.zeros(A.shape[0]), LinearSolveReport(0, 0.0, False,
+                                                       "trivial")
     try:
-        lu = spla.splu(A.tocsc())
-        x = lu.solve(b)
+        x = spla.splu(A.tocsc()).solve(b)
     except RuntimeError as exc:
-        raise SingularMatrixError(f"direct fallback failed: {exc}") from None
-    res = _true_residual(A, x, b, bnorm)
-    if not np.isfinite(res) or res > 10.0 * tol:
-        return x, LinearSolveReport(iters, res, True, "splu")
-    return x, LinearSolveReport(iters, res, False, "splu")
-
-
-def _solve_dense(A, b, bnorm, tol):
-    try:
-        x = np.linalg.solve(A.toarray(), b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(str(exc)) from None
-    res = _true_residual(A, x, b, bnorm)
-    if not np.isfinite(res) or res > 1e-3:
+        raise SingularMatrixError(f"sparse LU failed: {exc}") from None
+    res = float(np.linalg.norm(A @ x - b) / bnorm)
+    if not res < MAX_REL_RESIDUAL:
         raise SingularMatrixError(
-            f"dense solve left relative residual {res:.3e}")
-    return x, LinearSolveReport(0, res, res > 10.0 * tol, "dense")
-
-
-def _bicgstab(A, b, tol, maxit, use_precond):
-    M = None
-    if use_precond:
-        try:
-            ilu = spla.spilu(A.tocsc(), drop_tol=1e-5, fill_factor=10.0)
-            M = spla.LinearOperator(A.shape, ilu.solve)
-        except RuntimeError:
-            M = None  # preconditioner construction failed; run plain
-    count = [0]
-
-    def cb(_):
-        count[0] += 1
-
-    try:
-        x, info = spla.bicgstab(A, b, rtol=tol, atol=0.0, maxiter=maxit,
-                                M=M, callback=cb)
-    except TypeError:  # older scipy spells the tolerance 'tol'
-        x, info = spla.bicgstab(A, b, tol=tol, atol=0.0, maxiter=maxit,
-                                M=M, callback=cb)
-    if info != 0:
-        return None, count[0]
-    return x, count[0]
+            f"sparse LU left relative residual {res:.3e}")
+    return x, LinearSolveReport(0, res, False, "splu")

@@ -268,11 +268,9 @@ def build_mesh(vertices, cells, tag_edges=None, default_tag="boundary"):
 
 def _check_closure(mesh):
     """Assert the closed-polygon identity sum(n * L) = 0 per cell."""
-    acc = np.zeros((mesh.n_cells, 2))
     nl = mesh.face_normal * mesh.face_length[:, None]
-    for c in range(mesh.n_cells):
-        fids, sgns = mesh.faces_of_cell(c)
-        acc[c] = (nl[fids] * sgns[:, None]).sum(axis=0)
+    acc = np.add.reduceat(nl[mesh.cf_face] * mesh.cf_sign[:, None],
+                          mesh.cf_ptr[:-1], axis=0)
     scale = np.sqrt(mesh.cell_area)
     bad = np.abs(acc).max(axis=1) > 1e-10 * np.maximum(scale, 1.0)
     if bad.any():

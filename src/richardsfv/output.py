@@ -96,12 +96,14 @@ def write_vtk(snapshot, path):
 
 def write_convergence_csv(trace, path):
     """Trace CSV with columns iter, phase, res2, resinf, omega,
-    backtracks, liniters (one row per recorded iteration)."""
+    backtracks, linres (one row per recorded iteration; linres is the
+    relative residual of that iteration's linear solve, 0 on the initial
+    row)."""
     with open(path, "w") as fh:
-        fh.write("iter,phase,res2,resinf,omega,backtracks,liniters\n")
-        for it, phase, r2, rinf, om, bt, li in trace.rows():
+        fh.write("iter,phase,res2,resinf,omega,backtracks,linres\n")
+        for it, phase, r2, rinf, om, bt, lr in trace.rows():
             fh.write(f"{it},{phase},{float(r2)!r},{float(rinf)!r},"
-                     f"{float(om)!r},{bt},{li}\n")
+                     f"{float(om)!r},{bt},{float(lr)!r}\n")
 
 
 def write_report_csv(report, path):

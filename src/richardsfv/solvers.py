@@ -94,8 +94,6 @@ class SolverConfig:
     eps_div: float = 1e15
     line_search: LineSearchConfig = field(default_factory=LineSearchConfig)
     warmup: WarmupConfig = field(default_factory=WarmupConfig)
-    linear_tol: float = 1e-12
-    linear_maxit: int = 2000
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -124,7 +122,7 @@ class IterationRecord:
     resinf: float
     omega: float
     backtracks: int
-    lin_iters: int
+    lin_res: float  # relative residual of the step's linear solve
     ls_used: bool = False
     accepted: bool = True
 
@@ -146,9 +144,9 @@ class ConvergenceTrace:
 
     def rows(self):
         """CSV-ready rows: iter, phase, res2, resinf, omega, backtracks,
-        liniters."""
+        linres."""
         return [(r.iteration, r.phase, r.res2, r.resinf, r.omega,
-                 r.backtracks, r.lin_iters) for r in self.records]
+                 r.backtracks, r.lin_res) for r in self.records]
 
 
 def _as_disc(problem, scheme):
@@ -159,23 +157,18 @@ def _as_disc(problem, scheme):
     return Discretization(problem, scheme)
 
 
-def newton_step(problem, h, q, kind, cfg=None, scheme="tpfa"):
+def newton_step(problem, h, q, kind, scheme="tpfa"):
     """Solve J(h) dh = -F(h); returns (dh, linear report)."""
-    cfg = cfg or SolverConfig()
     disc = _as_disc(problem, scheme)
     J, F = disc.assemble_jacobian(h, q, kind, with_residual=True)
-    dh, rep = linalg.solve(J, -F, tol=cfg.linear_tol, maxit=cfg.linear_maxit)
-    return dh, rep
+    return linalg.solve(J, -F)
 
 
-def picard_step(problem, h, q, kind, cfg=None, scheme="tpfa"):
+def picard_step(problem, h, q, kind, scheme="tpfa"):
     """Solve A(h) dh = -F(h), the update form of A(h) h_new = b(h)."""
-    cfg = cfg or SolverConfig()
     disc = _as_disc(problem, scheme)
     asm = disc.assemble(h, q, kind)
-    dh, rep = linalg.solve(asm.A, -asm.F, tol=cfg.linear_tol,
-                           maxit=cfg.linear_maxit)
-    return dh, rep
+    return linalg.solve(asm.A, -asm.F)
 
 
 def armijo_line_search(problem, h, dh, q, kind, cfg=None, scheme="tpfa",
@@ -230,7 +223,8 @@ def solve_nonlinear(problem, h0, q, kind, cfg=None, scheme="tpfa"):
     res2 = float(np.linalg.norm(F))
     resinf = float(np.abs(F).max()) if len(F) else 0.0
     trace = ConvergenceTrace()
-    trace.records.append(IterationRecord(0, "init", res2, resinf, 0.0, 0, 0))
+    trace.records.append(IterationRecord(0, "init", res2, resinf, 0.0, 0,
+                                         0.0))
     res2_0 = res2
 
     if resinf < cfg.eps_abs or res2 == 0.0:
@@ -241,15 +235,10 @@ def solve_nonlinear(problem, h0, q, kind, cfg=None, scheme="tpfa"):
         phase = _phase(cfg, k)
         try:
             if phase == "picard":
-                dh, rep = picard_step(disc, h, q, kind, cfg)
+                dh, rep = picard_step(disc, h, q, kind)
             else:
-                dh, rep = newton_step(disc, h, q, kind, cfg)
+                dh, rep = newton_step(disc, h, q, kind)
         except linalg.SingularMatrixError:
-            trace.outcome = LINEAR_SOLVE_FAILED
-            return h, trace
-        # a breakdown-flagged direction is still usable if its residual
-        # is small; only give up on genuinely bad solves
-        if rep.breakdown and not rep.rel_residual < 1e-6:
             trace.outcome = LINEAR_SOLVE_FAILED
             return h, trace
 
@@ -266,7 +255,7 @@ def solve_nonlinear(problem, h0, q, kind, cfg=None, scheme="tpfa"):
             if omega is None:
                 trace.records.append(IterationRecord(
                     k, phase, res2, resinf, 0.0, backtracks,
-                    rep.iterations, ls_used=True, accepted=False))
+                    rep.rel_residual, ls_used=True, accepted=False))
                 trace.outcome = LINE_SEARCH_FAILED
                 return h, trace
 
@@ -282,7 +271,7 @@ def solve_nonlinear(problem, h0, q, kind, cfg=None, scheme="tpfa"):
         if not np.isfinite(resinf):
             resinf = np.inf
         trace.records.append(IterationRecord(
-            k, phase, res2, resinf, omega, backtracks, rep.iterations,
+            k, phase, res2, resinf, omega, backtracks, rep.rel_residual,
             ls_used=ls_used))
 
         if res2 > cfg.eps_div:

@@ -1,0 +1,65 @@
+"""What the benchmark harness in perfbench/ reads from the package.
+
+The harness is not part of this suite, so these tests pin the names,
+call paths and report fields it relies on: a change that breaks one of
+them fails here instead of only when the benchmark runs.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import scipy.sparse as sps
+
+import richardsfv
+from richardsfv import _kernels, build_dam, linalg
+from richardsfv.discretization import Discretization
+
+# loaded from its file, so that perfbench/ need not be on sys.path
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_tracing", _PERFBENCH / "tracing.py")
+tracing = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracing)
+
+
+def test_every_trace_target_resolves():
+    for name, module, cls, attr in tracing.TARGETS:
+        owner = importlib.import_module(module)
+        if cls is not None:
+            owner = getattr(owner, cls)
+        # the tracer swaps the attribute in the owner's own namespace
+        assert callable(owner.__dict__.get(attr)), name
+
+
+def test_backend_name_exists():
+    assert isinstance(richardsfv.BACKEND, str)
+
+
+def test_linear_report_fields():
+    A = sps.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
+    b = np.array([1.0, 2.0])
+    result = linalg.solve(A, b)
+    info = tracing._linalg_info((A, b), {}, result)
+    assert set(info) == {"method", "iterations", "breakdown",
+                         "rel_residual", "bytes"}
+    assert info["method"] == "splu"
+    assert info["iterations"] == 0
+    assert info["breakdown"] is False
+    assert info["rel_residual"] < 1e-15
+
+
+def test_residual_calls_face_system_through_module(monkeypatch):
+    spec = build_dam("unconfined", "cartesian:3x3")
+    disc = Discretization(spec, "tpfa")
+    calls = []
+    original = _kernels.face_system
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(_kernels, "face_system", spy)
+    disc.residual(np.full(spec.mesh.n_cells, 6.0), 1.0, "linear")
+    assert len(calls) == 1

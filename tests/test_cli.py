@@ -1,4 +1,4 @@
-"""CLI: solve / sweep / bench end-to-end, exit codes, determinism."""
+"""CLI: solve / sweep end-to-end, exit codes, determinism."""
 
 import pytest
 
@@ -93,6 +93,24 @@ def test_config_unknown_key_exit_1(tmp_path, capsys):
     assert "warp_factor" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, expect", [
+    ("warmup = 5", "[warmup]"),
+    ("line_search = 3", "[line_search]"),
+    ("linear_tol = 1e-9", "unknown key"),
+    ("pure_newton = true", "unknown key"),
+])
+def test_config_rejected_solver_key_exit_1(tmp_path, capsys, line, expect):
+    # nested configs have sections of their own; removed fields and
+    # properties are not settable keys
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[solver]\n{line}\n")
+    rc = run_cli("solve", "--preset", "dam-unconfined",
+                 "--mesh", "cartesian:3x3", "--config", str(cfg),
+                 "--out", str(tmp_path / "o"))
+    assert rc == 1
+    assert expect in capsys.readouterr().err
+
+
 def test_config_bad_value_exit_1(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[solver]\nnit_max = many\n")
@@ -151,14 +169,6 @@ def test_sweep_bad_kind_exit_1(capsys):
     rc = run_cli("sweep", "--preset", "dam-unconfined",
                  "--kinds", "cubic")
     assert rc == 1
-
-
-def test_bench_runs(tmp_path, capsys):
-    rc = run_cli("bench", "--preset", "dam-unconfined",
-                 "--mesh", "cartesian:10x10", "--repeat", "2")
-    assert rc == 0
-    cap = capsys.readouterr()
-    assert "residual" in cap.out and "jacobian" in cap.out
 
 
 def test_no_command_shows_help(capsys):

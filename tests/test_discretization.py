@@ -160,6 +160,26 @@ def test_neumann_inflow_balance():
     assert flux[left[0]] == pytest.approx(-(-0.25) * 1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("scheme", ["tpfa", "mpfa-o"])
+def test_flux_imbalance_matches_per_cell_loop(scheme):
+    spec = replace(build_dam("vgm", "triangular:5x4"), source=0.01)
+    disc = Discretization(spec, scheme)
+    h = np.random.default_rng(3).uniform(2.0, 10.0, disc.n_cells)
+    mesh = spec.mesh
+    flux = disc.face_fluxes(h, 0.7, "power")
+    rhs = spec.source_per_cell() * mesh.cell_area
+    expect = np.empty(disc.n_cells)
+    bound = np.empty(disc.n_cells)
+    for c in range(disc.n_cells):
+        fids, sgns = mesh.faces_of_cell(c)
+        expect[c] = float((flux[fids] * sgns).sum() - rhs[c])
+        # the same terms summed in another order: a few roundings each
+        bound[c] = 2 * len(fids) * np.finfo(float).eps * \
+            (np.abs(flux[fids]).sum() + abs(rhs[c]))
+    imb = disc.flux_imbalance(h, 0.7, "power")
+    assert (np.abs(imb - expect) <= bound).all()
+
+
 # -- Jacobian ------------------------------------------------------------
 
 @pytest.mark.parametrize("scheme", ["tpfa", "mpfa-o"])

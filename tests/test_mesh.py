@@ -1,11 +1,13 @@
 """Mesh generation, invariants, and file round-trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from richardsfv.mesh import (MeshFormatError, MeshTopologyError, build_mesh,
-                             gen_cartesian, gen_triangular, read_mesh,
-                             write_mesh)
+from richardsfv.mesh import (MeshFormatError, MeshTopologyError,
+                             _check_closure, build_mesh, gen_cartesian,
+                             gen_triangular, read_mesh, write_mesh)
 
 
 def interior_face_count(nx, nz):
@@ -72,6 +74,22 @@ def test_closed_polygon_identity(gen):
     for c in range(m.n_cells):
         fids, sgns = m.faces_of_cell(c)
         assert np.abs((nl[fids] * sgns[:, None]).sum(axis=0)).max() < 1e-12
+
+
+@pytest.mark.parametrize("pick", ["boundary", "interior"])
+def test_check_closure_names_first_open_cell(pick):
+    m = gen_triangular(4, 3, 2.0, 1.0)
+    faces = m.boundary_faces if pick == "boundary" else m.interior_faces
+    f = faces[len(faces) // 2]
+    normal = m.face_normal.copy()
+    normal[f] = normal[f] @ np.array([[0.8, 0.6], [-0.6, 0.8]])  # rotate
+    bad = replace(m, face_normal=normal)
+    cells = m.face_cells[f]
+    first = int(cells[cells >= 0].min())
+    with pytest.raises(MeshTopologyError,
+                       match=rf"^cell {first} face loop does not close$"):
+        _check_closure(bad)
+    _check_closure(m)
 
 
 def test_face_adjacency_invariant():

@@ -92,9 +92,11 @@ def test_trace_csv_rows(tmp_path):
     path = tmp_path / "trace.csv"
     write_convergence_csv(trace, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "iter,phase,res2,resinf,omega,backtracks,liniters"
+    assert lines[0] == "iter,phase,res2,resinf,omega,backtracks,linres"
     assert len(lines) == trace.iterations + 2  # header + init + iterations
     assert lines[1].startswith("0,init,")
+    linres = [float(line.split(",")[6]) for line in lines[2:]]
+    assert linres and all(0.0 <= r < 1e-6 for r in linres)
 
 
 def test_empty_trace_csv(tmp_path):
@@ -102,7 +104,7 @@ def test_empty_trace_csv(tmp_path):
     path = tmp_path / "empty.csv"
     write_convergence_csv(ConvergenceTrace(), path)
     assert path.read_text() == \
-        "iter,phase,res2,resinf,omega,backtracks,liniters\n"
+        "iter,phase,res2,resinf,omega,backtracks,linres\n"
 
 
 def test_report_csv(tmp_path):
