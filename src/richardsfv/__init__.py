@@ -10,8 +10,7 @@ from .constitutive import (UnconfinedParams, VgmParams, continuation_kr,
 from .continuation import (ContinuationConfig, ContinuationReport,
                            make_entries, run_continuation, sweep)
 from .discretization import (Assembly, AssemblyError, Discretization, Medium,
-                             ProblemSpec, assemble, assemble_jacobian,
-                             face_kr, tpfa_transmissibilities)
+                             ProblemSpec, face_kr, tpfa_transmissibilities)
 from .linalg import LinearSolveReport, SingularMatrixError, solve
 from .mesh import (Mesh2D, MeshFormatError, MeshTopologyError, build_mesh,
                    gen_cartesian, gen_triangular, read_mesh, write_mesh)

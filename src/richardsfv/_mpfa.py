@@ -18,50 +18,58 @@ import numpy as np
 __all__ = ["mpfa_o_stencils"]
 
 
-def _cell_faces_at_vertex(mesh):
-    """Map (cell, vertex) -> (face_prev, face_next) in loop order."""
-    out = {}
-    for c in range(mesh.n_cells):
-        vs = mesh.cell_vertices(c)
-        fids, _ = mesh.faces_of_cell(c)
-        k = len(vs)
-        for i in range(k):
-            # edge i joins vs[i] and vs[i+1]; vertex vs[i] touches
-            # edges i-1 and i
-            out[(c, int(vs[i]))] = (int(fids[(i - 1) % k]), int(fids[i]))
-    return out
+def _corners_by_vertex(mesh):
+    """Cell corners grouped by vertex (CSR over vertices, cells ascending
+    within a vertex): per corner its cell and the two loop faces meeting
+    there, the edge ending at the vertex first."""
+    n = len(mesh.cell_vert)
+    cell = np.repeat(np.arange(mesh.n_cells), np.diff(mesh.cell_ptr))
+    # edge i joins loop vertices i and i+1, so vertex i closes edge i-1
+    prev = np.arange(-1, n - 1)
+    prev[mesh.cell_ptr[:-1]] = mesh.cell_ptr[1:] - 1
+    order = np.lexsort((cell, mesh.cell_vert))
+    vptr = np.zeros(mesh.n_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(mesh.cell_vert, minlength=mesh.n_vertices),
+              out=vptr[1:])
+    return (vptr.tolist(), cell[order].tolist(),
+            mesh.cf_face[prev][order].tolist(), mesh.cf_face[order].tolist())
 
 
 def mpfa_o_stencils(spec, dir_faces, dir_vals, neu_faces, neu_vals):
-    """Build per-face flux stencils (cols, weights, constant) for the
-    O-method. Returns the same structure as the TPFA builder: lists of
-    face ids, column lists, weight lists and constants, covering interior
-    and Dirichlet faces. Fluxes are oriented along the stored normal.
+    """Build the O-method flux stencils of the interior and Dirichlet
+    faces, as arrays (face_ids, ptr, col, w, g): face face_ids[i] has
+    base flux sum(w[k] h[col[k]] for k in ptr[i]:ptr[i+1]) + g[i],
+    oriented along the stored normal. Face ids and, per face, columns
+    ascend.
     """
     from .discretization import AssemblyError
 
     mesh = spec.mesh
     Ks = [m.conductivity for m in spec.media]
-    dir_val = dict(zip(dir_faces.tolist(), dir_vals))
-    neu_val = dict(zip(neu_faces.tolist(), neu_vals))
-    cf_at_v = _cell_faces_at_vertex(mesh)
+    is_dir = np.zeros(mesh.n_faces, dtype=bool)
+    is_dir[dir_faces] = True
+    active = (mesh.face_cells[:, 1] >= 0) | is_dir
+    face_ids = np.nonzero(active)[0]
+    # Dirichlet head or Neumann flux density per boundary face
+    bc = np.zeros(mesh.n_faces)
+    bc[dir_faces] = dir_vals
+    bc[neu_faces] = neu_vals
+    is_dir, active, bc = is_dir.tolist(), active.tolist(), bc.tolist()
+    owner = mesh.face_cells[:, 0].tolist()
+    vptr, corner_cell, corner_f1, corner_f2 = _corners_by_vertex(mesh)
 
-    vert_cells = [[] for _ in range(mesh.n_vertices)]
-    for (c, v) in cf_at_v:
-        vert_cells[v].append(c)
-
-    # accumulators over active faces (interior + Dirichlet)
-    active = [f for f in range(mesh.n_faces)
-              if mesh.face_cells[f, 1] >= 0 or f in dir_val]
-    coeffs = {f: {} for f in active}
-    const = {f: 0.0 for f in active}
+    # stencil terms (face, cell, weight) and constants (face, value),
+    # summed per key after the vertex loop
+    t_face, t_cell, t_w = [], [], []
+    g_face, g_val = [], []
 
     for v in range(mesh.n_vertices):
-        cells_v = sorted(vert_cells[v])
-        if not cells_v:
+        lo, hi = vptr[v], vptr[v + 1]
+        if lo == hi:
             continue
-        faces_v = sorted({f for c in cells_v for f in cf_at_v[(c, v)]})
-        unknown = [f for f in faces_v if f not in dir_val]
+        cells_v = corner_cell[lo:hi]
+        faces_v = sorted(set(corner_f1[lo:hi]) | set(corner_f2[lo:hi]))
+        unknown = [f for f in faces_v if not is_dir[f]]
         uidx = {f: i for i, f in enumerate(unknown)}
         cidx = {c: i for i, c in enumerate(cells_v)}
         nu, nc = len(unknown), len(cells_v)
@@ -69,8 +77,7 @@ def mpfa_o_stencils(spec, dir_faces, dir_vals, neu_faces, neu_vals):
         # subcell flux expressions: (face, cell) -> (cu over local faces,
         # cc over local cells); flux out of `cell` through its half-face
         expr = {}
-        for c in cells_v:
-            f1, f2 = cf_at_v[(c, v)]
+        for c, f1, f2 in zip(cells_v, corner_f1[lo:hi], corner_f2[lo:hi]):
             x_c = mesh.cell_centroid[c]
             G = np.vstack([mesh.face_midpoint[f1] - x_c,
                            mesh.face_midpoint[f2] - x_c])
@@ -82,7 +89,7 @@ def mpfa_o_stencils(spec, dir_faces, dir_vals, neu_faces, neu_vals):
                              [-G[1, 0], G[0, 0]]]) / det
             K_c = Ks[spec.cell_medium[c]]
             for f in (f1, f2):
-                sign = 1.0 if mesh.face_cells[f, 0] == c else -1.0
+                sign = 1.0 if owner[f] == c else -1.0
                 n_out = sign * mesh.face_normal[f]
                 lam = -0.5 * mesh.face_length[f] * (n_out @ K_c @ Ginv)
                 cu = np.zeros(2)
@@ -99,14 +106,14 @@ def mpfa_o_stencils(spec, dir_faces, dir_vals, neu_faces, neu_vals):
                 sides = [cl] if cr < 0 else [cl, cr]
                 if cr < 0:
                     # Neumann half-face: prescribed outward flux
-                    r[i] += neu_val.get(f, 0.0) * 0.5 * mesh.face_length[f]
+                    r[i] += bc[f] * 0.5 * mesh.face_length[f]
                 for c in sides:
                     (fa, fb), cu, cc = expr[(f, c)]
                     for ff, cf in ((fa, cu[0]), (fb, cu[1])):
                         if ff in uidx:
                             M[i, uidx[ff]] += cf
                         else:
-                            r[i] -= cf * dir_val[ff]
+                            r[i] -= cf * bc[ff]
                     N[i, cidx[c]] -= cc
             try:
                 X = np.linalg.solve(M, N)
@@ -119,31 +126,37 @@ def mpfa_o_stencils(spec, dir_faces, dir_vals, neu_faces, neu_vals):
             y = np.zeros(0)
 
         # substitute continuity values into each half-face flux taken
-        # from the owner (first adjacent) cell, accumulate per face
+        # from the owner (first adjacent) cell
         for f in faces_v:
-            if f not in coeffs:
+            if not active[f]:
                 continue  # Neumann faces need no stencil
-            c = int(mesh.face_cells[f, 0])
+            c = owner[f]
             (fa, fb), cu, cc = expr[(f, c)]
-            row = coeffs[f]
-            row[c] = row.get(c, 0.0) + cc
+            t_face.append(f)
+            t_cell.append(c)
+            t_w.append(cc)
             for ff, cf in ((fa, cu[0]), (fb, cu[1])):
                 if cf == 0.0:
                     continue
                 if ff in uidx:
                     i = uidx[ff]
-                    for cc2, j in cidx.items():
+                    for c2, j in cidx.items():
                         if X[i, j] != 0.0:
-                            row[cc2] = row.get(cc2, 0.0) + cf * X[i, j]
-                    const[f] += cf * y[i]
+                            t_face.append(f)
+                            t_cell.append(c2)
+                            t_w.append(cf * X[i, j])
+                    g_val.append(cf * y[i])
                 else:
-                    const[f] += cf * dir_val[ff]
+                    g_val.append(cf * bc[ff])
+                g_face.append(f)
 
-    face_ids, cols, ws, gs = [], [], [], []
-    for f in active:
-        items = sorted(coeffs[f].items())
-        face_ids.append(f)
-        cols.append([c for c, _ in items])
-        ws.append([w for _, w in items])
-        gs.append(const[f])
-    return face_ids, cols, ws, gs
+    # one sum per (face, cell) key; bincount adds the terms in list order
+    key = np.asarray(t_face, dtype=np.int64) * mesh.n_cells + t_cell
+    terms, inv = np.unique(key, return_inverse=True)
+    ptr = np.zeros(len(face_ids) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(terms // mesh.n_cells,
+                          minlength=mesh.n_faces)[face_ids], out=ptr[1:])
+    w = np.bincount(inv, weights=t_w, minlength=len(terms))
+    g = np.bincount(np.asarray(g_face, dtype=np.int64), weights=g_val,
+                    minlength=mesh.n_faces)[face_ids]
+    return face_ids, ptr, terms % mesh.n_cells, w, g

@@ -91,10 +91,10 @@ def _split_right_boundary(mesh, z_cut):
     """Retag 'right' boundary faces: midpoints with z <= z_cut become
     'right_wet' (Dirichlet head), the rest 'right_dry' (impermeable)."""
     tags = mesh.face_tag.copy()
-    for f in mesh.boundary_faces:
-        if tags[f] == "right":
-            z = mesh.face_midpoint[f, 1]
-            tags[f] = "right_wet" if z <= z_cut + 1e-12 else "right_dry"
+    right = tags == "right"
+    wet = mesh.face_midpoint[:, 1] <= z_cut + 1e-12
+    tags[right & wet] = "right_wet"
+    tags[right & ~wet] = "right_dry"
     return replace(mesh, face_tag=tags)
 
 

@@ -28,6 +28,19 @@ class UsageError(Exception):
     """Configuration or argument problem (exit code 1)."""
 
 
+# Config sections and the keys each accepts; None marks a section whose
+# keys are the fields of its config dataclass (checked in _section_into).
+CONFIG_KEYS = {
+    "problem": ("preset", "mesh", "mode", "scheme"),
+    "solver": None,
+    "line_search": None,
+    "warmup": None,
+    "continuation": None,
+    "output": ("dir",),
+    "sweep": ("schemes", "solvers", "kinds"),
+}
+
+
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="richardsfv",
@@ -73,6 +86,16 @@ def _read_config(path):
         cp.read(path)
     except configparser.Error as exc:
         raise UsageError(f"cannot parse config {path}: {exc}") from None
+    for section in cp.sections():
+        if section not in CONFIG_KEYS:
+            raise UsageError(
+                f"config has unknown section [{section}] (known: "
+                f"{', '.join(f'[{s}]' for s in CONFIG_KEYS)})")
+        keys = CONFIG_KEYS[section]
+        for key in cp.options(section):
+            if keys is not None and key not in keys:
+                raise UsageError(
+                    f"config [{section}] has unknown key {key!r}")
     return cp
 
 

@@ -9,9 +9,7 @@ behind the comparison tables.
 """
 
 import hashlib
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,36 +105,21 @@ def _state_hash(h):
     return hashlib.sha256(np.ascontiguousarray(h).tobytes()).hexdigest()[:16]
 
 
-def _initial_guess(spec):
-    """Constant vector at the mean of the Dirichlet boundary data."""
-    mesh = spec.mesh
-    vals = []
-    for f in mesh.boundary_faces:
-        tag = mesh.face_tag[f]
-        if tag in spec.dirichlet:
-            x, z = mesh.face_midpoint[f]
-            vals.append(spec.dirichlet_value(tag, x, z))
-    return np.full(mesh.n_cells, float(np.mean(vals)))
+def run_continuation(disc, solver_cfg=None, cont_cfg=None, h0=None):
+    """Drive the continuation from q = 0 to q = 1 on a Discretization.
 
-
-def run_continuation(problem, solver_cfg=None, cont_cfg=None, scheme="tpfa",
-                     h0=None):
-    """Drive the continuation from q = 0 to q = 1.
-
-    problem is a ProblemSpec or a prebuilt Discretization. Returns
-    (h, ContinuationReport); report.success is True only when the q = 1
-    problem converged. A failed q = 0 stage is fatal (no retry), since
-    every later stage depends on its solution.
+    The initial guess defaults to the constant mean of the Dirichlet
+    boundary heads. Returns (h, ContinuationReport); report.success is
+    True only when the q = 1 problem converged. A failed q = 0 stage is
+    fatal (no retry), since every later stage depends on its solution.
     """
     solver_cfg = solver_cfg or SolverConfig()
     cont_cfg = cont_cfg or ContinuationConfig()
-    disc = problem if hasattr(problem, "residual") \
-        else Discretization(problem, scheme)
     kind = cont_cfg.kind
 
     report = ContinuationReport()
     h = np.array(h0, dtype=float, copy=True) if h0 is not None \
-        else _initial_guess(disc.spec)
+        else np.full(disc.n_cells, float(np.mean(disc.dir_vals)))
 
     h_init_hash = _state_hash(h)
     h_new, trace = solve_nonlinear(disc, h, 0.0, kind, solver_cfg)
@@ -219,38 +202,21 @@ def make_entries(schemes, solvers, kinds, base_solver_cfg=None,
     return entries
 
 
-def _worker_count(n_entries):
-    raw = os.environ.get("RICHARDS_THREADS", "1")
-    try:
-        cap = max(1, int(raw))
-    except ValueError:
-        cap = 1
-    return min(cap, max(1, n_entries))
-
-
 def sweep(spec, entries):
-    """Run every configuration independently; failures are data.
+    """Run every configuration independently, in order; failures are
+    data. Each entry's wall time includes building its discretization.
 
-    Returns a list of SweepRow in the order of `entries`. The worker
-    count is capped by the RICHARDS_THREADS environment variable
-    (default 1, i.e. sequential).
+    Returns a list of SweepRow in the order of `entries`.
     """
-    def run_one(entry):
+    rows = []
+    for entry in entries:
         t0 = time.perf_counter()
-        h, report = run_continuation(
-            spec, entry.solver_cfg, entry.cont_cfg, scheme=entry.scheme)
+        h, report = run_continuation(Discretization(spec, entry.scheme),
+                                     entry.solver_cfg, entry.cont_cfg)
         wall = time.perf_counter() - t0
-        outcome = "ok" if report.success else "fail"
-        return SweepRow(
+        rows.append(SweepRow(
             scheme=entry.scheme, solver=entry.solver, kind=entry.kind,
-            outcome=outcome, wall_seconds=wall,
+            outcome="ok" if report.success else "fail", wall_seconds=wall,
             cont_success=report.n_success, cont_failed=report.n_failed,
-            total_iters=report.total_iterations, report=report, h=h)
-
-    if not entries:
-        return []
-    workers = _worker_count(len(entries))
-    if workers == 1:
-        return [run_one(e) for e in entries]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_one, entries))
+            total_iters=report.total_iterations, report=report, h=h))
+    return rows

@@ -26,8 +26,6 @@ __all__ = [
     "Discretization",
     "face_kr",
     "tpfa_transmissibilities",
-    "assemble",
-    "assemble_jacobian",
 ]
 
 logger = logging.getLogger(__name__)
@@ -148,40 +146,39 @@ def face_kr(h_l, h_r, kr_l, kr_r, mode="central"):
                              0.5 * (np.asarray(kr_l) + np.asarray(kr_r))))
 
 
-def _directional_conductance(mesh, K, f, c):
-    """One-sided conductance (n K n) |face| / d of cell c at face f."""
-    n = mesh.face_normal[f]
-    d = abs(np.dot(mesh.face_midpoint[f] - mesh.cell_centroid[c], n))
-    if d <= 1e-14 * max(mesh.face_length[f], 1.0):
-        raise AssemblyError(
-            f"cell {c}: centroid lies on the plane of face {f}")
-    return float(n @ K @ n) * mesh.face_length[f] / d
-
-
 def tpfa_transmissibilities(spec):
     """Per-face TPFA transmissibility (m^2/day) over all mesh faces.
 
     Interior faces carry the harmonic average of the one-sided
-    directional conductances; boundary faces the one-sided value.
+    directional conductances (n K n) |face| / d, d the distance from the
+    cell centroid to the face plane; boundary faces the one-sided value.
     """
     mesh = spec.mesh
-    Ks = [m.conductivity for m in spec.media]
-    T = np.empty(mesh.n_faces)
-    for f in range(mesh.n_faces):
-        cl, cr = mesh.face_cells[f]
-        kl = _directional_conductance(mesh, Ks[spec.cell_medium[cl]], f, cl)
-        if cr >= 0:
-            kr = _directional_conductance(
-                mesh, Ks[spec.cell_medium[cr]], f, cr)
-            T[f] = kl * kr / (kl + kr)
-        else:
-            T[f] = kl
-    return T
+    K = np.array([m.conductivity for m in spec.media])[spec.cell_medium]
+    n = mesh.face_normal
+    interior = mesh.face_cells[:, 1] >= 0
+    # (face, side) -> cell; boundary faces repeat their one cell
+    cells = np.where(interior[:, None], mesh.face_cells,
+                     mesh.face_cells[:, :1])
+    to_face = mesh.face_midpoint[:, None, :] - mesh.cell_centroid[cells]
+    d = np.abs(np.einsum("fsi,fi->fs", to_face, n))
+    flat = d <= 1e-14 * np.maximum(mesh.face_length, 1.0)[:, None]
+    flat[:, 1] &= interior
+    if flat.any():
+        f, side = np.argwhere(flat)[0]
+        raise AssemblyError(
+            f"cell {cells[f, side]}: centroid lies on the plane of face {f}")
+    nKn = np.einsum("fi,fsij,fj->fs", n, K[cells], n)
+    k = nKn * mesh.face_length[:, None] / d
+    return np.where(interior, k[:, 0] * k[:, 1] / (k[:, 0] + k[:, 1]),
+                    k[:, 0])
 
 
 def _boundary_kinds(spec):
-    """Classify boundary faces: returns (dirichlet_faces with values,
-    neumann_faces with flux densities)."""
+    """The boundary table, the one place boundary conditions are read:
+    (Dirichlet faces, their heads, Neumann faces, their outward flux
+    densities), faces ascending. Boundary faces without a Dirichlet tag
+    are Neumann faces, zero-flux unless their tag sets a flux."""
     mesh = spec.mesh
     dir_faces, dir_vals, neu_faces, neu_vals = [], [], [], []
     for f in mesh.boundary_faces:
@@ -198,24 +195,23 @@ def _boundary_kinds(spec):
 
 
 def _tpfa_stencils(spec, dir_faces, dir_vals):
-    """Two-point flux stencils for interior and Dirichlet faces."""
+    """Two-point flux stencils of the interior and Dirichlet faces, as
+    arrays (face_ids, ptr, col, w, g) like mpfa_o_stencils."""
     mesh = spec.mesh
     T = tpfa_transmissibilities(spec)
-    dir_val = dict(zip(dir_faces.tolist(), dir_vals))
-    face_ids, cols, ws, gs = [], [], [], []
-    for f in range(mesh.n_faces):
-        cl, cr = mesh.face_cells[f]
-        if cr >= 0:
-            face_ids.append(f)
-            cols.append([cl, cr])
-            ws.append([T[f], -T[f]])
-            gs.append(0.0)
-        elif f in dir_val:
-            face_ids.append(f)
-            cols.append([cl])
-            ws.append([T[f]])
-            gs.append(-T[f] * dir_val[f])
-    return face_ids, cols, ws, gs
+    face_ids = np.sort(np.concatenate([mesh.interior_faces, dir_faces]))
+    cl, cr = mesh.face_cells[face_ids].T
+    interior = cr >= 0
+    ptr = np.zeros(len(face_ids) + 1, dtype=np.int64)
+    np.cumsum(1 + interior, out=ptr[1:])
+    first, second = ptr[:-1], ptr[:-1][interior] + 1
+    col = np.empty(ptr[-1], dtype=np.int64)
+    col[first], col[second] = cl, cr[interior]
+    w = np.empty(ptr[-1])
+    w[first], w[second] = T[face_ids], -T[face_ids[interior]]
+    g = np.zeros(len(face_ids))
+    g[~interior] = -T[dir_faces] * dir_vals  # both ascend by face
+    return face_ids, ptr, col, w, g
 
 
 class Discretization:
@@ -235,47 +231,36 @@ class Discretization:
         mesh = spec.mesh
         self.n_cells = mesh.n_cells
 
-        dir_faces, dir_vals, neu_faces, neu_vals = _boundary_kinds(spec)
+        bt = _boundary_kinds(spec)
+        self.dir_faces, self.dir_vals, self.neu_faces, self.neu_vals = bt
         if scheme == "tpfa":
-            face_ids, cols, ws, gs = _tpfa_stencils(spec, dir_faces, dir_vals)
+            stencils = _tpfa_stencils(spec, self.dir_faces, self.dir_vals)
         else:
             from ._mpfa import mpfa_o_stencils
-            face_ids, cols, ws, gs = mpfa_o_stencils(
-                spec, dir_faces, dir_vals, neu_faces, neu_vals)
-
-        self.face_ids = np.asarray(face_ids, dtype=np.int64)
+            stencils = mpfa_o_stencils(spec, *bt)
+        self.face_ids, self.ptr, self.col, self.w, self.g = stencils
         self.cell_l = mesh.face_cells[self.face_ids, 0].copy()
         self.cell_r = mesh.face_cells[self.face_ids, 1].copy()
-        lens = np.array([len(c) for c in cols], dtype=np.int64)
-        self.ptr = np.zeros(len(cols) + 1, dtype=np.int64)
-        self.ptr[1:] = np.cumsum(lens)
-        self.col = np.concatenate(cols).astype(np.int64) if len(cols) \
-            else np.zeros(0, dtype=np.int64)
-        self.w = np.concatenate(ws).astype(float) if len(ws) \
-            else np.zeros(0)
-        self.g = np.asarray(gs, dtype=float)
 
         # fixed source / Neumann part of b
         self.b_base = spec.source_per_cell() * mesh.cell_area
-        for f, qn in zip(neu_faces, neu_vals):
-            self.b_base[mesh.face_cells[f, 0]] -= qn * mesh.face_length[f]
-        self.neu_faces = neu_faces
-        self.neu_vals = neu_vals
+        np.subtract.at(self.b_base, mesh.face_cells[self.neu_faces, 0],
+                       self.neu_vals * mesh.face_length[self.neu_faces])
 
         # Dirichlet-face kr, evaluated once at the boundary head with the
         # adjacent cell's geometry (modeling choice; heads are fixed)
         self.kr_dir = np.zeros(len(self.face_ids))
-        dval = dict(zip(dir_faces.tolist(), dir_vals))
-        for i, f in enumerate(self.face_ids):
-            if self.cell_r[i] < 0:
-                c = self.cell_l[i]
-                medium = spec.media[spec.cell_medium[c]]
-                _, _, kr, _ = cell_curves(
-                    medium.model,
-                    np.array([dval[int(f)]]),
-                    mesh.cell_centroid[c, 1:2],
-                    mesh.cell_zmin[c:c + 1], mesh.cell_zmax[c:c + 1])
-                self.kr_dir[i] = kr[0]
+        at = np.nonzero(self.cell_r < 0)[0]
+        h_dir = self.dir_vals[np.searchsorted(self.dir_faces,
+                                              self.face_ids[at])]
+        cells = self.cell_l[at]
+        for mi, medium in enumerate(spec.media):
+            sel = spec.cell_medium[cells] == mi
+            if sel.any():
+                c = cells[sel]
+                self.kr_dir[at[sel]] = cell_curves(
+                    medium.model, h_dir[sel], mesh.cell_centroid[c, 1],
+                    mesh.cell_zmin[c], mesh.cell_zmax[c])[2]
 
         self._build_patterns()
         self._group_media()
@@ -391,8 +376,7 @@ class Discretization:
         flux0, K, _, _ = self._face_system(h, q, kind, False)
         out = np.zeros(mesh.n_faces)
         out[self.face_ids] = K * flux0
-        for f, qn in zip(self.neu_faces, self.neu_vals):
-            out[f] = qn * mesh.face_length[f]
+        out[self.neu_faces] = self.neu_vals * mesh.face_length[self.neu_faces]
         return out
 
     def flux_imbalance(self, h, q, kind):
@@ -403,13 +387,3 @@ class Discretization:
         rhs = self.spec.source_per_cell() * mesh.cell_area
         return np.add.reduceat(flux[mesh.cf_face] * mesh.cf_sign,
                                mesh.cf_ptr[:-1]) - rhs
-
-
-def assemble(spec, h, q, kind, scheme="tpfa"):
-    """One-shot assembly; prefer a reused Discretization in loops."""
-    return Discretization(spec, scheme).assemble(h, q, kind)
-
-
-def assemble_jacobian(spec, h, q, kind, scheme="tpfa"):
-    """One-shot Jacobian assembly at h."""
-    return Discretization(spec, scheme).assemble_jacobian(h, q, kind)

@@ -6,8 +6,10 @@ the unconfined water-content model needs. Generators for Cartesian and
 triangulated rectangles plus a plain-text file format are provided.
 """
 
-import numpy as np
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 __all__ = [
     "Mesh2D",
@@ -109,19 +111,6 @@ class Mesh2D:
         return sorted({t for t in self.face_tag if t is not None})
 
 
-def _polygon_area_centroid(pts):
-    """Signed area and centroid of a simple polygon (shoelace)."""
-    x, z = pts[:, 0], pts[:, 1]
-    xn, zn = np.roll(x, -1), np.roll(z, -1)
-    cross = x * zn - xn * z
-    area = 0.5 * cross.sum()
-    if abs(area) < 1e-300:
-        return 0.0, pts.mean(axis=0)
-    cx = ((x + xn) * cross).sum() / (6.0 * area)
-    cz = ((z + zn) * cross).sum() / (6.0 * area)
-    return area, np.array([cx, cz])
-
-
 def build_mesh(vertices, cells, tag_edges=None, default_tag="boundary"):
     """Assemble a validated :class:`Mesh2D` from vertices and cell loops.
 
@@ -138,7 +127,8 @@ def build_mesh(vertices, cells, tag_edges=None, default_tag="boundary"):
     ------
     MeshTopologyError
         On out-of-range vertex indices, degenerate cells, or faces shared
-        by more than two cells.
+        by more than two cells. Of several faulty cells the lowest-numbered
+        one is reported.
     """
     vertices = np.ascontiguousarray(vertices, dtype=float)
     if vertices.ndim != 2 or vertices.shape[1] != 2:
@@ -148,98 +138,129 @@ def build_mesh(vertices, cells, tag_edges=None, default_tag="boundary"):
     if n_cells == 0:
         raise MeshTopologyError("mesh has no cells")
 
+    # cell loops as one flat CSR
+    lens = np.fromiter(map(len, cells), dtype=np.int64, count=n_cells)
     cell_ptr = np.zeros(n_cells + 1, dtype=np.int64)
-    cell_list = []
-    centroid = np.empty((n_cells, 2))
-    area = np.empty(n_cells)
-    zmin = np.empty(n_cells)
-    zmax = np.empty(n_cells)
+    np.cumsum(lens, out=cell_ptr[1:])
+    flat = np.fromiter(chain.from_iterable(cells), dtype=np.int64,
+                       count=int(cell_ptr[-1]))
+    cell_of = np.repeat(np.arange(n_cells), lens)
+    in_range = (flat >= 0) & (flat < nv)
+    out_of_range = np.bincount(cell_of, weights=~in_range,
+                               minlength=n_cells) > 0
+    xy = vertices[np.where(in_range, flat, 0)] if nv \
+        else np.zeros((len(flat), 2))
 
-    for c, vs in enumerate(cells):
-        vs = np.asarray(vs, dtype=np.int64)
-        if len(vs) < 3:
-            raise MeshTopologyError(f"cell {c} has fewer than 3 vertices")
-        if vs.min() < 0 or vs.max() >= nv:
+    # per vertex count: repeats, signed shoelace area and centroid, each
+    # row summed in loop order as a single polygon's would be
+    repeats = np.zeros(n_cells, dtype=bool)
+    area = np.zeros(n_cells)
+    centroid = np.zeros((n_cells, 2))
+    zmin = np.zeros(n_cells)
+    zmax = np.zeros(n_cells)
+    slots = []  # (cell ids, (n, k) positions in flat) per vertex count
+    for k in np.unique(lens[lens >= 3]).tolist():
+        ids = np.nonzero(lens == k)[0]
+        pos = cell_ptr[ids, None] + np.arange(k)
+        slots.append((ids, pos))
+        srt = np.sort(flat[pos], axis=1)
+        repeats[ids] = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+        x, z = xy[pos, 0], xy[pos, 1]
+        xn, zn = np.roll(x, -1, axis=1), np.roll(z, -1, axis=1)
+        cross = x * zn - xn * z
+        a = 0.5 * cross.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            centroid[ids, 0] = ((x + xn) * cross).sum(axis=1) / (6.0 * a)
+            centroid[ids, 1] = ((z + zn) * cross).sum(axis=1) / (6.0 * a)
+        area[ids] = a
+        zmin[ids] = z.min(axis=1)
+        zmax[ids] = z.max(axis=1)
+
+    # the checks in the order a single cell is validated
+    faults = np.column_stack([
+        lens < 3, out_of_range, repeats, np.abs(area) < 1e-300,
+        ~(zmin < zmax)])
+    if faults.any():
+        c = int(np.nonzero(faults.any(axis=1))[0][0])
+        check = int(np.nonzero(faults[c])[0][0])
+        if check == 1:
+            vmax = int(flat[cell_ptr[c]:cell_ptr[c + 1]].max())
             raise MeshTopologyError(
-                f"cell {c} references vertex {int(vs.max())} "
+                f"cell {c} references vertex {vmax} "
                 f"outside range 0..{nv - 1}")
-        if len(np.unique(vs)) != len(vs):
-            raise MeshTopologyError(f"cell {c} repeats a vertex")
-        pts = vertices[vs]
-        a, cen = _polygon_area_centroid(pts)
-        if a < 0.0:  # normalize to CCW
-            vs = vs[::-1].copy()
-            a = -a
-        if a <= 0.0:
-            raise MeshTopologyError(f"cell {c} has non-positive area")
-        cell_list.append(vs)
-        cell_ptr[c + 1] = cell_ptr[c] + len(vs)
-        centroid[c] = cen
-        area[c] = a
-        zmin[c] = pts[:, 1].min()
-        zmax[c] = pts[:, 1].max()
-        if not zmin[c] < zmax[c]:
-            raise MeshTopologyError(f"cell {c} has zero vertical extent")
-    cell_vert = np.concatenate(cell_list)
+        raise MeshTopologyError(f"cell {c} " + (
+            "has fewer than 3 vertices", None, "repeats a vertex",
+            "has non-positive area", "has zero vertical extent")[check])
 
-    # derive unique faces; first touching cell owns the orientation
-    face_map = {}
-    fv, fc, fn, flen, fmid = [], [], [], [], []
-    cf_face_l, cf_sign_l = [], []
-    for c, vs in enumerate(cell_list):
-        ids, sgns = [], []
-        for k in range(len(vs)):
-            a, b = int(vs[k]), int(vs[(k + 1) % len(vs)])
-            key = (a, b) if a < b else (b, a)
-            if key not in face_map:
-                d = vertices[b] - vertices[a]
-                ln = float(np.hypot(d[0], d[1]))
-                if ln <= 0.0:
-                    raise MeshTopologyError(
-                        f"zero-length face between vertices {a} and {b}")
-                f = len(fv)
-                face_map[key] = f
-                fv.append((a, b))
-                fc.append([c, -1])
-                # edge traversed CCW in cell c: outward normal is (dz, -dx)
-                fn.append((d[1] / ln, -d[0] / ln))
-                flen.append(ln)
-                fmid.append(0.5 * (vertices[a] + vertices[b]))
-                sg = 1
-            else:
-                f = face_map[key]
-                if fc[f][1] != -1:
-                    raise MeshTopologyError(
-                        f"face {key} shared by more than two cells")
-                fc[f][1] = c
-                sg = -1
-            ids.append(f)
-            sgns.append(sg)
-        cf_face_l.append(np.array(ids, dtype=np.int64))
-        cf_sign_l.append(np.array(sgns, dtype=np.int64))
+    # normalize clockwise loops to counter-clockwise
+    cell_vert = flat.copy()
+    for ids, pos in slots:
+        cw = area[ids] < 0.0
+        cell_vert[pos[cw]] = flat[pos[cw]][:, ::-1]
+    area = np.abs(area)
 
-    face_vertices = np.array(fv, dtype=np.int64)
-    face_cells = np.array(fc, dtype=np.int64)
-    face_normal = np.array(fn, dtype=float)
-    face_length = np.array(flen, dtype=float)
-    face_midpoint = np.array(fmid, dtype=float)
+    # unique faces over the loop edges (a -> b); the first touching
+    # edge, in cell and loop order, numbers the face and owns its
+    # orientation
+    nxt = np.arange(1, len(flat) + 1)
+    nxt[cell_ptr[1:] - 1] = cell_ptr[:-1]
+    ea, eb = cell_vert, cell_vert[nxt]
+    key = np.minimum(ea, eb) * nv + np.maximum(ea, eb)
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    cf_face = rank[inv]
+    first = first[order]
+    n_faces = len(first)
+    # occurrence number of every edge among those of its face
+    by_face = np.argsort(cf_face, kind="stable")
+    count = np.bincount(cf_face, minlength=n_faces)
+    start = np.zeros(n_faces, dtype=np.int64)
+    np.cumsum(count[:-1], out=start[1:])
+    occ = np.empty_like(by_face)
+    occ[by_face] = np.arange(len(by_face)) - start[cf_face[by_face]]
 
-    face_tag = np.full(len(fv), None, dtype=object)
-    boundary = face_cells[:, 1] < 0
-    tag_edges = dict(tag_edges or {})
-    tag_edges = {tuple(sorted(k)): v for k, v in tag_edges.items()}
-    seen = set()
-    for f in np.nonzero(boundary)[0]:
-        key = tuple(sorted(face_vertices[f]))
-        face_tag[f] = tag_edges.get(key, default_tag)
-        seen.add(key)
+    face_vertices = np.column_stack([ea[first], eb[first]])
+    d = vertices[face_vertices[:, 1]] - vertices[face_vertices[:, 0]]
+    face_length = np.hypot(d[:, 0], d[:, 1])
+    # faults in the order the edges are visited
+    short = np.zeros(len(flat), dtype=bool)
+    short[first] = face_length <= 0.0
+    bad = np.nonzero(short | (occ >= 2))[0]
+    if len(bad):
+        e = int(bad[0])
+        a, b = int(ea[e]), int(eb[e])
+        if short[e]:
+            raise MeshTopologyError(
+                f"zero-length face between vertices {a} and {b}")
+        raise MeshTopologyError(
+            f"face {(min(a, b), max(a, b))} shared by more than two cells")
+
+    face_cells = np.full((n_faces, 2), -1, dtype=np.int64)
+    face_cells[:, 0] = cell_of[first]
+    second = occ == 1
+    face_cells[cf_face[second], 1] = cell_of[second]
+    cf_sign = np.where(occ == 0, 1, -1)
+    # edge traversed CCW in its owner cell: outward normal is (dz, -dx)
+    face_normal = np.column_stack([d[:, 1] / face_length,
+                                   -d[:, 0] / face_length])
+    face_midpoint = 0.5 * (vertices[face_vertices[:, 0]] +
+                           vertices[face_vertices[:, 1]])
+
+    face_tag = np.full(n_faces, None, dtype=object)
+    boundary = np.nonzero(face_cells[:, 1] < 0)[0]
+    tag_edges = {tuple(sorted(k)): v for k, v in (tag_edges or {}).items()}
+    lo = np.minimum(face_vertices[boundary, 0], face_vertices[boundary, 1])
+    hi = np.maximum(face_vertices[boundary, 0], face_vertices[boundary, 1])
+    keys = list(zip(lo.tolist(), hi.tolist()))
+    face_tag[boundary] = [tag_edges.get(k, default_tag) for k in keys]
+    seen = set(keys)
     for key in tag_edges:
         if key not in seen:
             raise MeshTopologyError(
                 f"boundary tag on edge {key} which is not a boundary face")
 
-    cf_ptr = np.zeros(n_cells + 1, dtype=np.int64)
-    cf_ptr[1:] = np.cumsum([len(x) for x in cf_face_l])
     mesh = Mesh2D(
         vertices=vertices,
         cell_ptr=cell_ptr,
@@ -254,9 +275,9 @@ def build_mesh(vertices, cells, tag_edges=None, default_tag="boundary"):
         face_length=face_length,
         face_midpoint=face_midpoint,
         face_tag=face_tag,
-        cf_ptr=cf_ptr,
-        cf_face=np.concatenate(cf_face_l),
-        cf_sign=np.concatenate(cf_sign_l),
+        cf_ptr=cell_ptr.copy(),
+        cf_face=cf_face,
+        cf_sign=cf_sign,
     )
     for arr in (mesh.vertices, mesh.cell_vert, mesh.cell_centroid,
                 mesh.cell_area, mesh.face_cells, mesh.face_normal,

@@ -6,7 +6,8 @@ direction, then h <- h + omega * dh. The step matrix is the Jacobian
 fixed-relaxation warm-up, a full step, or backtracking line search under
 the Armijo acceptance test on ||F||_2. Every run returns a full
 convergence trace; failures are encoded in the trace outcome rather
-than raised.
+than raised. Each entry point takes a prebuilt Discretization, which
+holds the problem and the flux scheme.
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .discretization import Discretization
 
 __all__ = [
     "LineSearchConfig",
@@ -149,30 +149,19 @@ class ConvergenceTrace:
                  r.backtracks, r.lin_res) for r in self.records]
 
 
-def _as_disc(problem, scheme):
-    # anything with a residual() is treated as a discretization (test stubs
-    # included); ProblemSpec instances get discretized here
-    if hasattr(problem, "residual"):
-        return problem
-    return Discretization(problem, scheme)
-
-
-def newton_step(problem, h, q, kind, scheme="tpfa"):
+def newton_step(disc, h, q, kind):
     """Solve J(h) dh = -F(h); returns (dh, linear report)."""
-    disc = _as_disc(problem, scheme)
     J, F = disc.assemble_jacobian(h, q, kind, with_residual=True)
     return linalg.solve(J, -F)
 
 
-def picard_step(problem, h, q, kind, scheme="tpfa"):
+def picard_step(disc, h, q, kind):
     """Solve A(h) dh = -F(h), the update form of A(h) h_new = b(h)."""
-    disc = _as_disc(problem, scheme)
     asm = disc.assemble(h, q, kind)
     return linalg.solve(asm.A, -asm.F)
 
 
-def armijo_line_search(problem, h, dh, q, kind, cfg=None, scheme="tpfa",
-                       res2=None):
+def armijo_line_search(disc, h, dh, q, kind, cfg=None, res2=None):
     """Backtracking line search under ||F(h + w dh)||_2 < (1 - a w) ||F(h)||_2.
 
     Tries omega = 1, gamma, ..., gamma**max_backtracks. Returns
@@ -180,7 +169,6 @@ def armijo_line_search(problem, h, dh, q, kind, cfg=None, scheme="tpfa",
     None) when every trial fails.
     """
     cfg = cfg or SolverConfig()
-    disc = _as_disc(problem, scheme)
     ls = cfg.line_search
     if res2 is None:
         res2 = float(np.linalg.norm(disc.residual(h, q, kind)))
@@ -204,7 +192,7 @@ def _phase(cfg, k):
     return "newton"
 
 
-def solve_nonlinear(problem, h0, q, kind, cfg=None, scheme="tpfa"):
+def solve_nonlinear(disc, h0, q, kind, cfg=None):
     """Run the configured nonlinear iteration at continuation level q.
 
     Stops when ||F||_2 < eps_rel ||F(h0)||_2 or ||F||_inf < eps_abs;
@@ -213,7 +201,6 @@ def solve_nonlinear(problem, h0, q, kind, cfg=None, scheme="tpfa"):
     iterate and the full trace; no failure raises.
     """
     cfg = cfg or SolverConfig()
-    disc = _as_disc(problem, scheme)
     h = np.array(h0, dtype=float, copy=True)
     if len(h) != disc.n_cells:
         raise ValueError(

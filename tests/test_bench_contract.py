@@ -12,9 +12,13 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sps
 
+import pytest
+
 import richardsfv
 from richardsfv import _kernels, build_dam, linalg
+from richardsfv.continuation import ContinuationConfig, run_continuation
 from richardsfv.discretization import Discretization
+from richardsfv.solvers import SolverConfig
 
 # loaded from its file, so that perfbench/ need not be on sys.path
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -63,3 +67,18 @@ def test_residual_calls_face_system_through_module(monkeypatch):
     monkeypatch.setattr(_kernels, "face_system", spy)
     disc.residual(np.full(spec.mesh.n_cells, 6.0), 1.0, "linear")
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("scheme", ["tpfa", "mpfa-o"])
+def test_worker_reads_disc_and_runs_continuation(scheme):
+    # worker.py reports len(disc.col) as stencil_entries and the mesh
+    # counts from disc.spec.mesh, and runs the solve as
+    # run_continuation(disc, solver_cfg, cont_cfg)
+    spec = build_dam("vgm", "triangular:4x4")
+    disc = Discretization(spec, scheme)
+    assert disc.spec.mesh is spec.mesh
+    assert len(disc.col) == disc.ptr[-1] == len(disc.w)
+    assert len(disc.ptr) == len(disc.face_ids) + 1
+    _, report = run_continuation(disc, SolverConfig(method="newton"),
+                                 ContinuationConfig(kind="power"))
+    assert report.success and report.total_iterations > 0

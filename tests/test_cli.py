@@ -1,8 +1,10 @@
 """CLI: solve / sweep end-to-end, exit codes, determinism."""
 
+from pathlib import Path
+
 import pytest
 
-from richardsfv.cli import main
+from richardsfv.cli import _cont_config, _read_config, _solver_config, main
 from richardsfv.mesh import gen_cartesian, write_mesh
 
 
@@ -93,22 +95,44 @@ def test_config_unknown_key_exit_1(tmp_path, capsys):
     assert "warp_factor" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line, expect", [
-    ("warmup = 5", "[warmup]"),
-    ("line_search = 3", "[line_search]"),
-    ("linear_tol = 1e-9", "unknown key"),
-    ("pure_newton = true", "unknown key"),
+@pytest.mark.parametrize("ini, expect", [
+    pytest.param("[solver]\nwarmup = 5\n", "[warmup]",
+                 id="warmup = 5-[warmup]"),
+    pytest.param("[solver]\nline_search = 3\n", "[line_search]",
+                 id="line_search = 3-[line_search]"),
+    pytest.param("[solver]\nlinear_tol = 1e-9\n", "unknown key",
+                 id="linear_tol = 1e-9-unknown key"),
+    pytest.param("[solver]\npure_newton = true\n", "unknown key",
+                 id="pure_newton = true-unknown key"),
+    pytest.param("[problem]\nkr_mode = upwind\n", "unknown key 'kr_mode'",
+                 id="problem kr_mode"),
+    pytest.param("[linesearch]\nalpha = 0.5\n", "unknown section [linesearch]",
+                 id="linesearch section"),
+    pytest.param("[output]\ndirectory = x\n", "unknown key 'directory'",
+                 id="output directory"),
+    pytest.param("[sweep]\nscheme = tpfa\n", "unknown key 'scheme'",
+                 id="sweep scheme"),
 ])
-def test_config_rejected_solver_key_exit_1(tmp_path, capsys, line, expect):
-    # nested configs have sections of their own; removed fields and
-    # properties are not settable keys
+def test_config_rejected_solver_key_exit_1(tmp_path, capsys, ini, expect):
+    # nested configs have sections of their own; removed fields,
+    # properties, misspelt sections and keys outside a section's list
+    # are refused rather than ignored
     cfg = tmp_path / "bad.ini"
-    cfg.write_text(f"[solver]\n{line}\n")
+    cfg.write_text(ini)
     rc = run_cli("solve", "--preset", "dam-unconfined",
                  "--mesh", "cartesian:3x3", "--config", str(cfg),
                  "--out", str(tmp_path / "o"))
     assert rc == 1
     assert expect in capsys.readouterr().err
+
+
+def test_readme_config_example_accepted(tmp_path):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    cfg = tmp_path / "readme.ini"
+    cfg.write_text(readme.read_text().split("```ini\n")[1].split("```")[0])
+    cp = _read_config(str(cfg))
+    assert _solver_config(cp).method == "newton"
+    assert _cont_config(cp).kind == "power"
 
 
 def test_config_bad_value_exit_1(tmp_path, capsys):

@@ -76,7 +76,8 @@ def test_fully_saturated_problem_trivial_q1_step():
     mesh = gen_cartesian(5, 5, 1.0, 1.0)
     spec, _ = build_verification_linear(mesh, np.diag([1.0, 1.0]),
                                         a=0.5, b=1.0, c=20.0)
-    h, rep = run_continuation(spec, SolverConfig(method="newton"),
+    h, rep = run_continuation(Discretization(spec, "tpfa"),
+                              SolverConfig(method="newton"),
                               ContinuationConfig())
     assert rep.success
     assert len(rep.steps) == 2
@@ -87,7 +88,7 @@ def _scripted(outcomes):
     """Monkeypatch-ready solve_nonlinear with per-q scripted outcomes."""
     calls = []
 
-    def fake(disc, h0, q, kind, cfg=None, scheme="tpfa"):
+    def fake(disc, h0, q, kind, cfg=None):
         tr = ConvergenceTrace()
         tr.outcome = outcomes(q, len(calls))
         tr.records = [None]  # iterations == 0
@@ -153,7 +154,7 @@ def test_q0_failure_is_fatal(dam_disc, monkeypatch):
 def test_initial_guess_is_dirichlet_mean(dam_disc, monkeypatch):
     seen = {}
 
-    def fake(disc, h0, q, kind, cfg=None, scheme="tpfa"):
+    def fake(disc, h0, q, kind, cfg=None):
         seen.setdefault("h0", np.array(h0, copy=True))
         tr = ConvergenceTrace()
         tr.outcome = CONVERGED
@@ -213,15 +214,6 @@ def test_sweep_full_matrix():
 def test_sweep_empty():
     spec = build_dam("unconfined", "cartesian:4x4")
     assert sweep(spec, []) == []
-
-
-def test_sweep_parallel_workers(monkeypatch):
-    monkeypatch.setenv("RICHARDS_THREADS", "3")
-    spec = build_dam("unconfined", "cartesian:4x4")
-    entries = make_entries(["tpfa"], ["newton", "mixed"], ["linear"])
-    rows = sweep(spec, entries)
-    assert [r.solver for r in rows] == ["newton", "mixed"]
-    assert all(r.outcome == "ok" for r in rows)
 
 
 def test_sweep_failures_are_rows(monkeypatch):

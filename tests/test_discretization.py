@@ -5,14 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sps
 
-from richardsfv.benchmarks import (build_dam, build_verification_linear,
+from richardsfv.benchmarks import (build_dam, build_layered_slab,
+                                   build_verification_linear,
                                    dam_conductivity)
 from richardsfv.constitutive import UnconfinedParams, VgmParams
 from richardsfv.discretization import (AssemblyError, Discretization, Medium,
-                                       ProblemSpec, assemble,
-                                       assemble_jacobian, face_kr,
+                                       ProblemSpec, face_kr,
                                        tpfa_transmissibilities)
 from richardsfv.linalg import solve
 from richardsfv.mesh import build_mesh, gen_cartesian, gen_triangular
@@ -66,6 +65,70 @@ def test_tpfa_degenerate_distance_names_cell():
                        cell_medium=[0], dirichlet={"boundary": 1.0})
     with pytest.raises(AssemblyError, match="cell 0"):
         tpfa_transmissibilities(spec)
+
+
+def _loop_directional_conductance(mesh, K, f, c):
+    n = mesh.face_normal[f]
+    d = abs(np.dot(mesh.face_midpoint[f] - mesh.cell_centroid[c], n))
+    if d <= 1e-14 * max(mesh.face_length[f], 1.0):
+        raise AssemblyError(
+            f"cell {c}: centroid lies on the plane of face {f}")
+    return float(n @ K @ n) * mesh.face_length[f] / d
+
+
+def _loop_tpfa(spec):
+    """Reference: per-face transmissibilities and two-point stencils
+    (face ids, column lists, weight lists, constants)."""
+    mesh = spec.mesh
+    Ks = [m.conductivity for m in spec.media]
+    T = np.empty(mesh.n_faces)
+    for f in range(mesh.n_faces):
+        cl, cr = mesh.face_cells[f]
+        kl = _loop_directional_conductance(
+            mesh, Ks[spec.cell_medium[cl]], f, cl)
+        if cr >= 0:
+            kr = _loop_directional_conductance(
+                mesh, Ks[spec.cell_medium[cr]], f, cr)
+            T[f] = kl * kr / (kl + kr)
+        else:
+            T[f] = kl
+    face_ids, cols, ws, gs = [], [], [], []
+    for f in range(mesh.n_faces):
+        cl, cr = mesh.face_cells[f]
+        tag = mesh.face_tag[f]
+        if cr >= 0:
+            face_ids.append(f)
+            cols.append([cl, cr])
+            ws.append([T[f], -T[f]])
+            gs.append(0.0)
+        elif tag in spec.dirichlet:
+            x, z = mesh.face_midpoint[f]
+            face_ids.append(f)
+            cols.append([cl])
+            ws.append([T[f]])
+            gs.append(-T[f] * spec.dirichlet_value(tag, x, z))
+    return T, face_ids, cols, ws, gs
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_dam("vgm", "1900"),
+    lambda: build_dam("unconfined", "cartesian:7x5", kr_mode="upwind"),
+    lambda: build_layered_slab("400"),
+    lambda: build_layered_slab("triangular:12x12"),
+], ids=["dam-tri31", "dam-cart7x5", "slab-400", "slab-tri12"])
+def test_tpfa_matches_per_face_loop(build):
+    # summation order differs from the loop's BLAS n @ K @ n: a few ulp
+    spec = build()
+    T_ref, face_ids, cols, ws, gs = _loop_tpfa(spec)
+    np.testing.assert_allclose(tpfa_transmissibilities(spec), T_ref,
+                               rtol=1e-14, atol=0)
+    disc = Discretization(spec, "tpfa")
+    assert np.array_equal(disc.face_ids, face_ids)
+    assert np.array_equal(disc.ptr, np.cumsum([0] + [len(c) for c in cols]))
+    assert np.array_equal(disc.col, np.concatenate(cols))
+    np.testing.assert_allclose(disc.w, np.concatenate(ws), rtol=1e-14,
+                               atol=0)
+    np.testing.assert_allclose(disc.g, gs, rtol=1e-14, atol=0)
 
 
 def test_mpfa_singular_region_names_vertex():
@@ -415,15 +478,6 @@ def test_unknown_scheme_rejected():
     spec = two_cell_spec()
     with pytest.raises(ValueError, match="ntpfa"):
         Discretization(spec, "ntpfa")
-
-
-def test_one_shot_wrappers():
-    spec = two_cell_spec()
-    h = np.array([1.0, 1.0])
-    asm = assemble(spec, h, 0.0, "linear")
-    J = assemble_jacobian(spec, h, 0.0, "linear")
-    assert abs(J - asm.A).max() == 0.0
-    assert sps.issparse(J)
 
 
 def test_mpfa_single_cell_boundary_only():

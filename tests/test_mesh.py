@@ -1,11 +1,13 @@
 """Mesh generation, invariants, and file round-trips."""
 
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from richardsfv.mesh import (MeshFormatError, MeshTopologyError,
+import richardsfv.mesh as mesh_mod
+from richardsfv.mesh import (Mesh2D, MeshFormatError, MeshTopologyError,
                              _check_closure, build_mesh, gen_cartesian,
                              gen_triangular, read_mesh, write_mesh)
 
@@ -239,3 +241,250 @@ def test_shared_face_three_cells_rejected():
     verts = [(0, 0), (1, 0), (0, 1), (1, 1), (-1, 0.5)]
     with pytest.raises(MeshTopologyError):
         build_mesh(verts, [[0, 1, 2], [1, 3, 2], [2, 0, 1]])
+
+
+# -- array build_mesh against the per-cell loop it replaced ---------------
+
+def _loop_polygon_area_centroid(pts):
+    x, z = pts[:, 0], pts[:, 1]
+    xn, zn = np.roll(x, -1), np.roll(z, -1)
+    cross = x * zn - xn * z
+    area = 0.5 * cross.sum()
+    if abs(area) < 1e-300:
+        return 0.0, pts.mean(axis=0)
+    cx = ((x + xn) * cross).sum() / (6.0 * area)
+    cz = ((z + zn) * cross).sum() / (6.0 * area)
+    return area, np.array([cx, cz])
+
+
+def _loop_build_mesh(vertices, cells, tag_edges=None, default_tag="boundary"):
+    """Reference: the per-cell, per-edge loop build of a Mesh2D."""
+    vertices = np.ascontiguousarray(vertices, dtype=float)
+    nv = len(vertices)
+    n_cells = len(cells)
+    if n_cells == 0:
+        raise MeshTopologyError("mesh has no cells")
+    cell_ptr = np.zeros(n_cells + 1, dtype=np.int64)
+    cell_list = []
+    centroid = np.empty((n_cells, 2))
+    area = np.empty(n_cells)
+    zmin = np.empty(n_cells)
+    zmax = np.empty(n_cells)
+    for c, vs in enumerate(cells):
+        vs = np.asarray(vs, dtype=np.int64)
+        if len(vs) < 3:
+            raise MeshTopologyError(f"cell {c} has fewer than 3 vertices")
+        if vs.min() < 0 or vs.max() >= nv:
+            raise MeshTopologyError(
+                f"cell {c} references vertex {int(vs.max())} "
+                f"outside range 0..{nv - 1}")
+        if len(np.unique(vs)) != len(vs):
+            raise MeshTopologyError(f"cell {c} repeats a vertex")
+        pts = vertices[vs]
+        a, cen = _loop_polygon_area_centroid(pts)
+        if a < 0.0:
+            vs = vs[::-1].copy()
+            a = -a
+        if a <= 0.0:
+            raise MeshTopologyError(f"cell {c} has non-positive area")
+        cell_list.append(vs)
+        cell_ptr[c + 1] = cell_ptr[c] + len(vs)
+        centroid[c] = cen
+        area[c] = a
+        zmin[c] = pts[:, 1].min()
+        zmax[c] = pts[:, 1].max()
+        if not zmin[c] < zmax[c]:
+            raise MeshTopologyError(f"cell {c} has zero vertical extent")
+    cell_vert = np.concatenate(cell_list)
+
+    face_map = {}
+    fv, fc, fn, flen, fmid = [], [], [], [], []
+    cf_face_l, cf_sign_l = [], []
+    for c, vs in enumerate(cell_list):
+        ids, sgns = [], []
+        for k in range(len(vs)):
+            a, b = int(vs[k]), int(vs[(k + 1) % len(vs)])
+            key = (a, b) if a < b else (b, a)
+            if key not in face_map:
+                d = vertices[b] - vertices[a]
+                ln = float(np.hypot(d[0], d[1]))
+                if ln <= 0.0:
+                    raise MeshTopologyError(
+                        f"zero-length face between vertices {a} and {b}")
+                f = len(fv)
+                face_map[key] = f
+                fv.append((a, b))
+                fc.append([c, -1])
+                fn.append((d[1] / ln, -d[0] / ln))
+                flen.append(ln)
+                fmid.append(0.5 * (vertices[a] + vertices[b]))
+                sg = 1
+            else:
+                f = face_map[key]
+                if fc[f][1] != -1:
+                    raise MeshTopologyError(
+                        f"face {key} shared by more than two cells")
+                fc[f][1] = c
+                sg = -1
+            ids.append(f)
+            sgns.append(sg)
+        cf_face_l.append(np.array(ids, dtype=np.int64))
+        cf_sign_l.append(np.array(sgns, dtype=np.int64))
+
+    face_vertices = np.array(fv, dtype=np.int64)
+    face_cells = np.array(fc, dtype=np.int64)
+    face_tag = np.full(len(fv), None, dtype=object)
+    tag_edges = {tuple(sorted(k)): v for k, v in (tag_edges or {}).items()}
+    seen = set()
+    for f in np.nonzero(face_cells[:, 1] < 0)[0]:
+        key = tuple(sorted(face_vertices[f]))
+        face_tag[f] = tag_edges.get(key, default_tag)
+        seen.add(key)
+    for key in tag_edges:
+        if key not in seen:
+            raise MeshTopologyError(
+                f"boundary tag on edge {key} which is not a boundary face")
+    cf_ptr = np.zeros(n_cells + 1, dtype=np.int64)
+    cf_ptr[1:] = np.cumsum([len(x) for x in cf_face_l])
+    return Mesh2D(
+        vertices=vertices, cell_ptr=cell_ptr, cell_vert=cell_vert,
+        cell_centroid=centroid, cell_area=area, cell_zmin=zmin,
+        cell_zmax=zmax, face_vertices=face_vertices, face_cells=face_cells,
+        face_normal=np.array(fn, dtype=float),
+        face_length=np.array(flen, dtype=float),
+        face_midpoint=np.array(fmid, dtype=float), face_tag=face_tag,
+        cf_ptr=cf_ptr, cf_face=np.concatenate(cf_face_l),
+        cf_sign=np.concatenate(cf_sign_l))
+
+
+def generator_input(gen, *args):
+    """The (vertices, cells, tag_edges) a generator passes to build_mesh."""
+    seen = []
+
+    def capture(vertices, cells, tag_edges=None):
+        seen.append((vertices, cells, tag_edges))
+        return build_mesh(vertices, cells, tag_edges)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mesh_mod, "build_mesh", capture)
+        gen(*args)
+    return seen[0]
+
+
+def renumbered(mesh_input, seed, block=64):
+    """Vertex and cell ids shuffled within blocks of `block` numbers."""
+    vertices, cells, tags = mesh_input
+    rng = np.random.default_rng(seed)
+
+    def local_perm(n):
+        return np.argsort(np.arange(n) // block + rng.random(n),
+                          kind="stable")
+
+    new_to_old = local_perm(len(vertices))
+    old_to_new = np.argsort(new_to_old)
+    cells = [[int(old_to_new[v]) for v in cells[c]]
+             for c in local_perm(len(cells))]
+    tags = {(int(old_to_new[a]), int(old_to_new[b])): t
+            for (a, b), t in tags.items()}
+    return vertices[new_to_old], cells, tags
+
+
+def mixed_input(nx=6, nz=4, seed=5):
+    """Jittered grid of triangles, quads, pentagons and one (nx+3)-gon
+    over the top row; every fourth loop is given clockwise."""
+    xx, zz = np.meshgrid(np.arange(nx + 1.0), np.arange(nz + 1.0))
+    verts = np.column_stack([xx.ravel(), zz.ravel()])
+    inner = (verts[:, 0] % nx != 0) & (verts[:, 1] % nz != 0)
+    rng = np.random.default_rng(seed)
+    verts[inner] += rng.uniform(-0.15, 0.15, (inner.sum(), 2))
+
+    def vid(i, j):
+        return j * (nx + 1) + i
+
+    cells = []
+    for j in range(nz - 1):
+        i = 0
+        while i < nx:
+            sw, se = vid(i, j), vid(i + 1, j)
+            ne, nw = vid(i + 1, j + 1), vid(i, j + 1)
+            if (i + j) % 3 == 0 and i + 2 <= nx:
+                # pentagon over square i and half of square i + 1
+                ee, en = vid(i + 2, j), vid(i + 2, j + 1)
+                cells += [[sw, se, en, ne, nw], [se, ee, en]]
+                i += 2
+                continue
+            if (i + j) % 3 == 1:
+                cells += [[sw, se, ne], [sw, ne, nw]]
+            else:
+                cells.append([sw, se, ne, nw])
+            i += 1
+    cells.append([vid(i, nz - 1) for i in range(nx + 1)] +
+                 [vid(nx, nz), vid(0, nz)])
+    cells = [c[::-1] if k % 4 == 3 else c for k, c in enumerate(cells)]
+    tags = {(vid(0, j + 1), vid(0, j)): "left" for j in range(nz)}
+    tags.update({(vid(i, 0), vid(i + 1, 0)): "bottom" for i in range(nx)})
+    return verts, cells, tags
+
+
+ORACLE_INPUTS = {
+    "cartesian20x20": lambda: generator_input(gen_cartesian, 20, 20,
+                                              10.0, 10.0),
+    "triangular31x31": lambda: generator_input(gen_triangular, 31, 31,
+                                               10.0, 10.0),
+    "triangular16x16-renumbered": lambda: renumbered(
+        generator_input(gen_triangular, 16, 16, 10.0, 10.0), seed=3),
+    "mixed": mixed_input,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
+def test_build_mesh_matches_loop_reference_bitwise(name):
+    vertices, cells, tags = ORACLE_INPUTS[name]()
+    m = build_mesh(vertices, cells, tags)
+    ref = _loop_build_mesh(vertices, cells, tags)
+    for fld in fields(Mesh2D):
+        got, want = getattr(m, fld.name), getattr(ref, fld.name)
+        if fld.name == "face_tag":
+            assert list(got) == list(want)
+        else:
+            assert got.dtype == want.dtype, fld.name
+            assert np.array_equal(got, want), fld.name
+
+
+def test_mixed_input_covers_cell_kinds():
+    vertices, cells, _ = mixed_input()
+    m = build_mesh(vertices, cells)
+    assert set(np.diff(m.cell_ptr).tolist()) == {3, 4, 5, 9}
+    signed = [_loop_polygon_area_centroid(np.asarray(vertices)[c])[0]
+              for c in cells]
+    assert min(signed) < 0 < max(signed)  # clockwise input present
+
+
+# vertices for the malformed-input cases: a unit grid 0..8 (row-major,
+# 3 x 3) plus vertex 9 placed on top of vertex 4
+_BAD_VERTS = [(i % 3, i // 3) for i in range(9)] + [(1, 1)]
+
+
+@pytest.mark.parametrize("cells, message", [
+    # cell 1 zero area, cell 3 repeats a vertex: the lower cell is named
+    ([[0, 1, 4, 3], [0, 1, 2], [1, 2, 5, 4], [3, 4, 4, 6]],
+     "cell 1 has non-positive area"),
+    ([[0, 1, 4, 3], [0, 1, 2], [1, 2, 5, 4], [3, 4, 4, 6]][::-1],
+     "cell 0 repeats a vertex"),
+    ([[0, 1, 4, 3], [1, 2, 5, 4], [4, 5, 12], [3, 4]],
+     "cell 2 references vertex 12 outside range 0..9"),
+    ([[0, 1, 4, 3], [4, 5, -1, 7], [3, 4]],
+     "cell 1 references vertex 7 outside range 0..9"),
+    ([[0, 1, 4, 3], [3, 4], [4, 5, 12]],
+     "cell 1 has fewer than 3 vertices"),
+    ([[0, 1, 4, 3], [1, 2, 5, 4, 9], [4, 5, 8, 7]],
+     "zero-length face between vertices 4 and 9"),
+    ([[0, 1, 4, 3], [3, 4, 1], [1, 4, 3], [1, 2, 5, 9]],
+     "face (1, 4) shared by more than two cells"),
+])
+def test_malformed_cells_reported_as_by_loop(cells, message):
+    with pytest.raises(MeshTopologyError) as ref:
+        _loop_build_mesh(_BAD_VERTS, cells)
+    assert str(ref.value) == message
+    with pytest.raises(MeshTopologyError, match=re.escape(message) + "$"):
+        build_mesh(_BAD_VERTS, cells)

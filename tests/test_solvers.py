@@ -285,13 +285,6 @@ def test_solver_config_validation():
         WarmupConfig(omega_fixed=0.0)
 
 
-def test_accepts_problem_spec_directly():
-    spec = build_dam("unconfined", "cartesian:3x3")
-    h, trace = solve_nonlinear(spec, np.full(9, 6.0), 0.0, "linear",
-                               SolverConfig(method="newton"))
-    assert trace.outcome == CONVERGED
-
-
 def test_trace_rows_shape(dam400):
     disc, h0 = dam400
     _, trace = solve_nonlinear(disc, h0, 1.0, "linear",
