@@ -2,37 +2,58 @@
 
 For every mesh vertex an interaction region is formed by the incident
 cells. Inside each cell's subregion the pressure is linear, pinned to
-the cell-center value and to continuity values at the midpoints of the
+the cell-center value and to continuity values u at the midpoints of the
 cell's two edges meeting at the vertex. Flux continuity across interior
-half-faces (and prescribed flux on Neumann half-faces) closes a small
-local system; eliminating the continuity values expresses each half-face
-flux as a linear combination of cell-center heads plus a constant from
-Dirichlet data. Summing the two half-face contributions per face gives
-the full-face stencil. The construction is exact for linear pressure
-fields and collapses to two-point stencils on K-orthogonal rectangular
-grids.
+half-faces (and prescribed flux on Neumann half-faces) closes a local
+system M u = N h + r (Aavatsmark, Comput. Geosci. 2002); eliminating u
+gives each half-face flux in cell-center heads plus a Dirichlet
+constant, and a face's two half-faces sum to its stencil. This is exact
+for linear pressure fields and two-point on K-orthogonal rectangles.
+
+No loop runs per vertex: all corners' geometry is computed at once and
+the systems are solved as one stacked np.linalg.solve per shape (unknown
+faces, cells). A system with condition number above COND_MAX is
+rejected as singular, whatever its pivots round to.
 """
 
 import numpy as np
 
 __all__ = ["mpfa_o_stencils"]
 
+# largest accepted condition number of a local system: the dam grids reach
+# 201, the layered slab 2.5e3, two cells meeting along two faces ~1e16
+COND_MAX = 1e12
+
 
 def _corners_by_vertex(mesh):
-    """Cell corners grouped by vertex (CSR over vertices, cells ascending
-    within a vertex): per corner its cell and the two loop faces meeting
-    there, the edge ending at the vertex first."""
-    n = len(mesh.cell_vert)
+    """Cell corners sorted by vertex, then cell: per corner its vertex,
+    its cell and its two loop faces, the edge ending at the vertex
+    first (shape (corners, 2))."""
     cell = np.repeat(np.arange(mesh.n_cells), np.diff(mesh.cell_ptr))
     # edge i joins loop vertices i and i+1, so vertex i closes edge i-1
-    prev = np.arange(-1, n - 1)
+    prev = np.arange(-1, len(mesh.cell_vert) - 1)
     prev[mesh.cell_ptr[:-1]] = mesh.cell_ptr[1:] - 1
     order = np.lexsort((cell, mesh.cell_vert))
-    vptr = np.zeros(mesh.n_vertices + 1, dtype=np.int64)
-    np.cumsum(np.bincount(mesh.cell_vert, minlength=mesh.n_vertices),
-              out=vptr[1:])
-    return (vptr.tolist(), cell[order].tolist(),
-            mesh.cf_face[prev][order].tolist(), mesh.cf_face[order].tolist())
+    faces = np.column_stack([mesh.cf_face[prev], mesh.cf_face])
+    return mesh.cell_vert[order], cell[order], faces[order]
+
+
+def _half_face_fluxes(spec, cell, faces):
+    """(lam, cc, flat) per corner k and slot s: cell[k]'s outward flux
+    through half-face faces[k, s] is lam[k, s] @ u + cc[k, s] h[cell[k]],
+    u the values on faces[k]; flat marks degenerate corners."""
+    mesh = spec.mesh
+    G = mesh.face_midpoint[faces] - mesh.cell_centroid[cell][:, None]
+    det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
+    flat = np.abs(det) <= 1e-14 * np.maximum(mesh.cell_area[cell], 1e-30)
+    adj = np.stack([G[:, 1, 1], -G[:, 0, 1], -G[:, 1, 0], G[:, 0, 0]], -1)
+    Ginv = adj.reshape(-1, 2, 2) / np.where(flat, 1.0, det)[:, None, None]
+    K = np.array([m.conductivity for m in spec.media])[spec.cell_medium[cell]]
+    sign = np.where(mesh.face_cells[faces, 0] == cell[:, None], 1.0, -1.0)
+    lam = np.einsum("ksi,kij,kjt->kst", sign[..., None] *
+                    mesh.face_normal[faces], K, Ginv)
+    lam *= (-0.5 * mesh.face_length[faces])[..., None]
+    return lam, -lam.sum(axis=-1), flat
 
 
 def mpfa_o_stencils(spec, dir_faces, dir_vals, neu_faces, neu_vals):
@@ -40,123 +61,102 @@ def mpfa_o_stencils(spec, dir_faces, dir_vals, neu_faces, neu_vals):
     faces, as arrays (face_ids, ptr, col, w, g): face face_ids[i] has
     base flux sum(w[k] h[col[k]] for k in ptr[i]:ptr[i+1]) + g[i],
     oriented along the stored normal. Face ids and, per face, columns
-    ascend.
-    """
+    ascend."""
     from .discretization import AssemblyError
 
     mesh = spec.mesh
-    Ks = [m.conductivity for m in spec.media]
-    is_dir = np.zeros(mesh.n_faces, dtype=bool)
-    is_dir[dir_faces] = True
+    n_f, n_v = mesh.n_faces, mesh.n_vertices
+    is_dir = np.isin(np.arange(n_f), dir_faces)
     active = (mesh.face_cells[:, 1] >= 0) | is_dir
     face_ids = np.nonzero(active)[0]
     # Dirichlet head or Neumann flux density per boundary face
-    bc = np.zeros(mesh.n_faces)
-    bc[dir_faces] = dir_vals
-    bc[neu_faces] = neu_vals
-    is_dir, active, bc = is_dir.tolist(), active.tolist(), bc.tolist()
-    owner = mesh.face_cells[:, 0].tolist()
-    vptr, corner_cell, corner_f1, corner_f2 = _corners_by_vertex(mesh)
+    bc = np.zeros(n_f)
+    bc[dir_faces], bc[neu_faces] = dir_vals, neu_vals
+    vert, cell, faces = _corners_by_vertex(mesh)
+    lam, cc, flat = _half_face_fluxes(spec, cell, faces)
 
-    # stencil terms (face, cell, weight) and constants (face, value),
-    # summed per key after the vertex loop
-    t_face, t_cell, t_w = [], [], []
-    g_face, g_val = [], []
+    # local numbering: a vertex's faces ascend, its unknown (non-Dirichlet)
+    # faces and its cells ascend; hf maps each half-face to its (vertex, face)
+    vf, hf = np.unique(vert[:, None] * n_f + faces, return_inverse=True)
+    hf = hf.reshape(faces.shape)
+    vf_vert, vf_face = np.divmod(vf, n_f)
+    unk = ~is_dir[vf_face]
+    nu = np.bincount(vf_vert[unk], minlength=n_v)
+    nc = np.bincount(vert, minlength=n_v)
+    uloc = np.cumsum(unk) - 1 - (np.cumsum(nu) - nu)[vf_vert]
+    first = np.cumsum(nc) - nc
+    kloc = np.arange(len(vert)) - first[vert]
+    # vertex blocks laid out by system shape: M is nu x nu, the right-hand
+    # side [N | r] nu x (nc + 1); row starts per unknown (vertex, face)
+    shape_key = nu * (nc.max() + 1) + nc
+    order = np.argsort(shape_key, kind="stable")
+    sizes = np.column_stack([nu * nu, nu * (nc + 1)])
+    off = np.zeros_like(sizes)
+    off[order] = np.cumsum(sizes[order], axis=0) - sizes[order]
+    (m_off, b_off), (n_m, n_b) = off.T, sizes.sum(axis=0)
+    vu, vc = nu[vf_vert], nc[vf_vert]
+    m_row = uloc * vu + m_off[vf_vert]
+    b_row = np.where(unk, uloc * (vc + 1) + b_off[vf_vert], n_b)
 
-    for v in range(mesh.n_vertices):
-        lo, hi = vptr[v], vptr[v + 1]
-        if lo == hi:
+    # flux continuity over the half-faces of unknown faces; the Neumann
+    # flux and Dirichlet heads go to r
+    k, s = np.nonzero(unk[hf])
+    hs, hk = hf[k, s], hf[k]
+    t_unk = unk[hk]
+    M = np.bincount((m_row[hs][:, None] + uloc[hk])[t_unk],
+                    weights=lam[k, s][t_unk], minlength=n_m)
+    ri, ti = np.nonzero(~t_unk)
+    neu = unk & (mesh.face_cells[vf_face, 1] < 0)
+    B = np.bincount(np.concatenate([
+        b_row[hs] + kloc[k], (b_row + vc)[hs[ri]], (b_row + vc)[neu]]),
+        weights=np.concatenate([
+            -cc[k, s], -lam[k[ri], s[ri], ti] * bc[faces[k[ri], ti]],
+            bc[vf_face[neu]] * 0.5 * mesh.face_length[vf_face[neu]]]),
+        minlength=n_b)
+
+    # one stacked solve per shape into XY (X | y per vertex block), then
+    # zeros that stand in for the X of a Dirichlet face
+    XY = np.zeros(n_b + nc.max() + 1)
+    # (vertex, rank, what): the lowest vertex wins, a bad corner first
+    faults = [(v, 0, f"singular interaction region in cell {c}")
+              for v, c in zip(vert[flat][:1], cell[flat][:1])]
+    for shape in np.unique(shape_key[nu > 0]):
+        vs = np.flatnonzero(shape_key == shape)
+        n_u, n_c, m0, b0 = nu[vs[0]], nc[vs[0]], m_off[vs[0]], b_off[vs[0]]
+        Mg = M[m0:m0 + len(vs) * n_u * n_u].reshape(-1, n_u, n_u)
+        bad = ~(np.linalg.cond(Mg) <= COND_MAX)
+        if bad.any():
+            faults.append((vs[bad].min(), 1,
+                           "singular interaction-region system"))
             continue
-        cells_v = corner_cell[lo:hi]
-        faces_v = sorted(set(corner_f1[lo:hi]) | set(corner_f2[lo:hi]))
-        unknown = [f for f in faces_v if not is_dir[f]]
-        uidx = {f: i for i, f in enumerate(unknown)}
-        cidx = {c: i for i, c in enumerate(cells_v)}
-        nu, nc = len(unknown), len(cells_v)
+        sl = slice(b0, b0 + len(vs) * n_u * (n_c + 1))
+        XY[sl] = np.linalg.solve(Mg, B[sl].reshape(len(vs), n_u, -1)).ravel()
+    if faults:
+        v, _, what = min(faults)
+        raise AssemblyError(f"vertex {v}: {what}")
 
-        # subcell flux expressions: (face, cell) -> (cu over local faces,
-        # cc over local cells); flux out of `cell` through its half-face
-        expr = {}
-        for c, f1, f2 in zip(cells_v, corner_f1[lo:hi], corner_f2[lo:hi]):
-            x_c = mesh.cell_centroid[c]
-            G = np.vstack([mesh.face_midpoint[f1] - x_c,
-                           mesh.face_midpoint[f2] - x_c])
-            det = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
-            if abs(det) <= 1e-14 * max(mesh.cell_area[c], 1e-30):
-                raise AssemblyError(
-                    f"vertex {v}: singular interaction region in cell {c}")
-            Ginv = np.array([[G[1, 1], -G[0, 1]],
-                             [-G[1, 0], G[0, 0]]]) / det
-            K_c = Ks[spec.cell_medium[c]]
-            for f in (f1, f2):
-                sign = 1.0 if owner[f] == c else -1.0
-                n_out = sign * mesh.face_normal[f]
-                lam = -0.5 * mesh.face_length[f] * (n_out @ K_c @ Ginv)
-                cu = np.zeros(2)
-                cu[0], cu[1] = lam[0], lam[1]
-                expr[(f, c)] = ((f1, f2), cu, -lam.sum())
+    # an active face's flux at a vertex, from its owner's half-face:
+    # cc h_owner + sum_t lam_t u_t, u_t = X h + y on an unknown face and
+    # the Dirichlet head otherwise; rows in (vertex, face) order
+    own = (mesh.face_cells[faces, 0] == cell[:, None]) & active[faces]
+    k, s = np.divmod(np.flatnonzero(own)[np.argsort(hf[own])], 2)
+    f, a, x_row, n_c = faces[k, s], lam[k, s], b_row[hf[k]], nc[vert[k]]
+    y = np.where(unk[hf[k]], XY[x_row + n_c[:, None]], bc[faces[k]])
+    g = np.bincount(np.repeat(f, 2), weights=(a * y).ravel(),
+                    minlength=n_f)[face_ids]
+    # one (face, cell) term per row and cell of its vertex
+    er = np.repeat(np.arange(len(k)), n_c)
+    j = np.arange(len(er)) - np.repeat(np.cumsum(n_c) - n_c, n_c)
+    X = XY[x_row[er] + j[:, None]]
+    at_owner = j == kloc[k][er]
+    t_w = (np.where(at_owner, cc[k, s][er], 0.0) + a[er, 0] * X[:, 0]
+           + a[er, 1] * X[:, 1])
+    # a term exists at the owner cell and where some lam_t X_t is nonzero
+    keep = at_owner | ((a[er] != 0.0) & (X != 0.0)).any(axis=1)
+    key = f[er] * mesh.n_cells + cell[first[vert[k]][er] + j]
 
-        if nu:
-            M = np.zeros((nu, nu))
-            N = np.zeros((nu, nc))
-            r = np.zeros(nu)
-            for f in unknown:
-                i = uidx[f]
-                cl, cr = mesh.face_cells[f]
-                sides = [cl] if cr < 0 else [cl, cr]
-                if cr < 0:
-                    # Neumann half-face: prescribed outward flux
-                    r[i] += bc[f] * 0.5 * mesh.face_length[f]
-                for c in sides:
-                    (fa, fb), cu, cc = expr[(f, c)]
-                    for ff, cf in ((fa, cu[0]), (fb, cu[1])):
-                        if ff in uidx:
-                            M[i, uidx[ff]] += cf
-                        else:
-                            r[i] -= cf * bc[ff]
-                    N[i, cidx[c]] -= cc
-            try:
-                X = np.linalg.solve(M, N)
-                y = np.linalg.solve(M, r)
-            except np.linalg.LinAlgError:
-                raise AssemblyError(
-                    f"vertex {v}: singular interaction-region system") from None
-        else:
-            X = np.zeros((0, nc))
-            y = np.zeros(0)
-
-        # substitute continuity values into each half-face flux taken
-        # from the owner (first adjacent) cell
-        for f in faces_v:
-            if not active[f]:
-                continue  # Neumann faces need no stencil
-            c = owner[f]
-            (fa, fb), cu, cc = expr[(f, c)]
-            t_face.append(f)
-            t_cell.append(c)
-            t_w.append(cc)
-            for ff, cf in ((fa, cu[0]), (fb, cu[1])):
-                if cf == 0.0:
-                    continue
-                if ff in uidx:
-                    i = uidx[ff]
-                    for c2, j in cidx.items():
-                        if X[i, j] != 0.0:
-                            t_face.append(f)
-                            t_cell.append(c2)
-                            t_w.append(cf * X[i, j])
-                    g_val.append(cf * y[i])
-                else:
-                    g_val.append(cf * bc[ff])
-                g_face.append(f)
-
-    # one sum per (face, cell) key; bincount adds the terms in list order
-    key = np.asarray(t_face, dtype=np.int64) * mesh.n_cells + t_cell
-    terms, inv = np.unique(key, return_inverse=True)
-    ptr = np.zeros(len(face_ids) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(terms // mesh.n_cells,
-                          minlength=mesh.n_faces)[face_ids], out=ptr[1:])
-    w = np.bincount(inv, weights=t_w, minlength=len(terms))
-    g = np.bincount(np.asarray(g_face, dtype=np.int64), weights=g_val,
-                    minlength=mesh.n_faces)[face_ids]
+    # one sum per (face, cell) key; bincount adds the terms in row order
+    terms, inv = np.unique(key[keep], return_inverse=True)
+    ptr = np.searchsorted(terms, np.append(face_ids, n_f) * mesh.n_cells)
+    w = np.bincount(inv, weights=t_w[keep], minlength=len(terms))
     return face_ids, ptr, terms % mesh.n_cells, w, g

@@ -89,10 +89,14 @@ def dam_mesh(choice):
 
 def _split_right_boundary(mesh, z_cut):
     """Retag 'right' boundary faces: midpoints with z <= z_cut become
-    'right_wet' (Dirichlet head), the rest 'right_dry' (impermeable)."""
+    'right_wet' (Dirichlet head), the rest 'right_dry' (impermeable).
+    A mesh with no wet face is refused as too coarse."""
     tags = mesh.face_tag.copy()
     right = tags == "right"
     wet = mesh.face_midpoint[:, 1] <= z_cut + 1e-12
+    if not (right & wet).any():
+        raise ValueError("mesh too coarse: no right-boundary face lies "
+                         f"below z = {z_cut} m")
     tags[right & wet] = "right_wet"
     tags[right & ~wet] = "right_dry"
     return replace(mesh, face_tag=tags)
@@ -108,10 +112,6 @@ def build_dam(model="unconfined", mesh="400", kr_mode="central",
     if isinstance(mesh, str):
         mesh = dam_mesh(mesh)
     mesh = _split_right_boundary(mesh, DAM_H_RIGHT)
-    if "right_wet" not in mesh.tag_names():
-        raise ValueError(
-            "mesh too coarse: no right-boundary face lies below "
-            f"z = {DAM_H_RIGHT} m")
     if model == "unconfined":
         cm = unconfined
     elif model == "vgm":

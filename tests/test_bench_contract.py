@@ -15,7 +15,7 @@ import scipy.sparse as sps
 import pytest
 
 import richardsfv
-from richardsfv import _kernels, build_dam, linalg
+from richardsfv import _kernels, _mpfa, build_dam, linalg
 from richardsfv.continuation import ContinuationConfig, run_continuation
 from richardsfv.discretization import Discretization
 from richardsfv.solvers import SolverConfig
@@ -66,6 +66,24 @@ def test_residual_calls_face_system_through_module(monkeypatch):
 
     monkeypatch.setattr(_kernels, "face_system", spy)
     disc.residual(np.full(spec.mesh.n_cells, 6.0), 1.0, "linear")
+    assert len(calls) == 1
+
+
+def test_discretization_calls_mpfa_stencils_through_module(monkeypatch):
+    # the tracer times the stencil build by swapping the module attribute;
+    # a name bound at import time would bypass it and stencil_s read 0
+    spec = build_dam("unconfined", "cartesian:3x3")
+    calls = []
+    original = _mpfa.mpfa_o_stencils
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(_mpfa, "mpfa_o_stencils", spy)
+    Discretization(spec, "mpfa-o")
+    assert len(calls) == 1
+    Discretization(spec, "tpfa")
     assert len(calls) == 1
 
 

@@ -50,10 +50,22 @@ def test_dam_models():
         build_dam("brooks-corey", "cartesian:4x4")
 
 
+COARSE = "mesh too coarse: no right-boundary face lies below z = 2.0 m"
+
+
 def test_dam_rejects_too_coarse_mesh():
     # a 2x2 grid has no right-boundary face below z = 2 m
-    with pytest.raises(ValueError, match="too coarse"):
+    with pytest.raises(ValueError) as err:
         build_dam("unconfined", "cartesian:2x2")
+    assert str(err.value) == COARSE
+
+
+def test_layered_slab_rejects_too_coarse_mesh():
+    # same boundary split as the dam, so the same message, not a missing
+    # 'right_wet' tag from the spec check
+    with pytest.raises(ValueError) as err:
+        build_layered_slab("cartesian:2x2")
+    assert str(err.value) == COARSE
 
 
 def test_dam_mesh_choices():

@@ -6,15 +6,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from richardsfv import _mpfa
 from richardsfv.benchmarks import (build_dam, build_layered_slab,
                                    build_verification_linear,
                                    dam_conductivity)
 from richardsfv.constitutive import UnconfinedParams, VgmParams
 from richardsfv.discretization import (AssemblyError, Discretization, Medium,
-                                       ProblemSpec, face_kr,
+                                       ProblemSpec, _boundary_kinds, face_kr,
                                        tpfa_transmissibilities)
 from richardsfv.linalg import solve
 from richardsfv.mesh import build_mesh, gen_cartesian, gen_triangular
+from test_mesh import generator_input, mixed_input, renumbered
 
 VGM = VgmParams(0.05, 0.4, 1.0, 1.5)
 UNC = UnconfinedParams()
@@ -131,13 +133,206 @@ def test_tpfa_matches_per_face_loop(build):
     np.testing.assert_allclose(disc.g, gs, rtol=1e-14, atol=0)
 
 
+# -- MPFA-O stencils ----------------------------------------------------
+
+def _loop_corners_by_vertex(mesh):
+    n = len(mesh.cell_vert)
+    cell = np.repeat(np.arange(mesh.n_cells), np.diff(mesh.cell_ptr))
+    prev = np.arange(-1, n - 1)
+    prev[mesh.cell_ptr[:-1]] = mesh.cell_ptr[1:] - 1
+    order = np.lexsort((cell, mesh.cell_vert))
+    vptr = np.zeros(mesh.n_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(mesh.cell_vert, minlength=mesh.n_vertices),
+              out=vptr[1:])
+    return (vptr.tolist(), cell[order].tolist(),
+            mesh.cf_face[prev][order].tolist(), mesh.cf_face[order].tolist())
+
+
+def _loop_mpfa_o_stencils(spec, dir_faces, dir_vals, neu_faces, neu_vals):
+    """Reference: one interaction region per vertex, one local solve
+    each, terms summed per (face, cell) in accumulation order."""
+    mesh = spec.mesh
+    Ks = [m.conductivity for m in spec.media]
+    is_dir = np.zeros(mesh.n_faces, dtype=bool)
+    is_dir[dir_faces] = True
+    active = (mesh.face_cells[:, 1] >= 0) | is_dir
+    face_ids = np.nonzero(active)[0]
+    bc = np.zeros(mesh.n_faces)
+    bc[dir_faces] = dir_vals
+    bc[neu_faces] = neu_vals
+    is_dir, active, bc = is_dir.tolist(), active.tolist(), bc.tolist()
+    owner = mesh.face_cells[:, 0].tolist()
+    vptr, corner_cell, corner_f1, corner_f2 = _loop_corners_by_vertex(mesh)
+    t_face, t_cell, t_w = [], [], []
+    g_face, g_val = [], []
+    for v in range(mesh.n_vertices):
+        lo, hi = vptr[v], vptr[v + 1]
+        if lo == hi:
+            continue
+        cells_v = corner_cell[lo:hi]
+        faces_v = sorted(set(corner_f1[lo:hi]) | set(corner_f2[lo:hi]))
+        unknown = [f for f in faces_v if not is_dir[f]]
+        uidx = {f: i for i, f in enumerate(unknown)}
+        cidx = {c: i for i, c in enumerate(cells_v)}
+        nu, nc = len(unknown), len(cells_v)
+        expr = {}
+        for c, f1, f2 in zip(cells_v, corner_f1[lo:hi], corner_f2[lo:hi]):
+            x_c = mesh.cell_centroid[c]
+            G = np.vstack([mesh.face_midpoint[f1] - x_c,
+                           mesh.face_midpoint[f2] - x_c])
+            det = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
+            if abs(det) <= 1e-14 * max(mesh.cell_area[c], 1e-30):
+                raise AssemblyError(
+                    f"vertex {v}: singular interaction region in cell {c}")
+            Ginv = np.array([[G[1, 1], -G[0, 1]],
+                             [-G[1, 0], G[0, 0]]]) / det
+            K_c = Ks[spec.cell_medium[c]]
+            for f in (f1, f2):
+                sign = 1.0 if owner[f] == c else -1.0
+                n_out = sign * mesh.face_normal[f]
+                lam = -0.5 * mesh.face_length[f] * (n_out @ K_c @ Ginv)
+                expr[(f, c)] = ((f1, f2), lam, -lam.sum())
+        if nu:
+            M = np.zeros((nu, nu))
+            N = np.zeros((nu, nc))
+            r = np.zeros(nu)
+            for f in unknown:
+                i = uidx[f]
+                cl, cr = mesh.face_cells[f]
+                sides = [cl] if cr < 0 else [cl, cr]
+                if cr < 0:
+                    r[i] += bc[f] * 0.5 * mesh.face_length[f]
+                for c in sides:
+                    (fa, fb), cu, cc = expr[(f, c)]
+                    for ff, cf in ((fa, cu[0]), (fb, cu[1])):
+                        if ff in uidx:
+                            M[i, uidx[ff]] += cf
+                        else:
+                            r[i] -= cf * bc[ff]
+                    N[i, cidx[c]] -= cc
+            try:
+                X = np.linalg.solve(M, N)
+                y = np.linalg.solve(M, r)
+            except np.linalg.LinAlgError:
+                raise AssemblyError(f"vertex {v}: singular "
+                                    "interaction-region system") from None
+        else:
+            X = np.zeros((0, nc))
+            y = np.zeros(0)
+        for f in faces_v:
+            if not active[f]:
+                continue
+            c = owner[f]
+            (fa, fb), cu, cc = expr[(f, c)]
+            t_face.append(f)
+            t_cell.append(c)
+            t_w.append(cc)
+            for ff, cf in ((fa, cu[0]), (fb, cu[1])):
+                if cf == 0.0:
+                    continue
+                if ff in uidx:
+                    i = uidx[ff]
+                    for c2, j in cidx.items():
+                        if X[i, j] != 0.0:
+                            t_face.append(f)
+                            t_cell.append(c2)
+                            t_w.append(cf * X[i, j])
+                    g_val.append(cf * y[i])
+                else:
+                    g_val.append(cf * bc[ff])
+                g_face.append(f)
+    key = np.asarray(t_face, dtype=np.int64) * mesh.n_cells + t_cell
+    terms, inv = np.unique(key, return_inverse=True)
+    ptr = np.zeros(len(face_ids) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(terms // mesh.n_cells,
+                          minlength=mesh.n_faces)[face_ids], out=ptr[1:])
+    w = np.bincount(inv, weights=t_w, minlength=len(terms))
+    g = np.bincount(np.asarray(g_face, dtype=np.int64), weights=g_val,
+                    minlength=mesh.n_faces)[face_ids]
+    return face_ids, ptr, terms % mesh.n_cells, w, g
+
+
+def _renumbered_tri16():
+    return build_mesh(*renumbered(
+        generator_input(gen_triangular, 16, 16, 10.0, 10.0), seed=3))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_dam("vgm", "1900"),
+    lambda: build_dam("vgm", _renumbered_tri16()),
+    lambda: build_dam("vgm", "400"),
+    lambda: replace(build_layered_slab("triangular:12x12"),
+                    neumann={"top": 0.3, "bottom": -0.2}),
+], ids=["dam-tri31", "dam-tri16-renumbered", "dam-cart20",
+        "slab-tri12-neumann"])
+def test_mpfa_matches_per_vertex_loop(build):
+    # the batched solves and the (face, cell) sums round differently from
+    # the loop; entries that cancel to roundoff (g about 1e-16 where heads
+    # are 10 m) are held to 1e-14 of the largest entry instead
+    spec = build()
+    bt = _boundary_kinds(spec)
+    face_ids, ptr, col, w, g = _loop_mpfa_o_stencils(spec, *bt)
+    got = _mpfa.mpfa_o_stencils(spec, *bt)
+    assert np.array_equal(got[0], face_ids)
+    assert np.array_equal(got[1], ptr)
+    assert np.array_equal(got[2], col)
+    for new, ref in ((got[3], w), (got[4], g)):
+        np.testing.assert_allclose(new, ref, rtol=1e-12,
+                                   atol=1e-14 * abs(ref).max())
+
+
+def _isotropic_spec(mesh, dirichlet, n_media=1):
+    """Media K = I, 3 I, ... assigned to the cells by index, cyclically."""
+    media = tuple(Medium(f"m{i}", (1.0 + 2.0 * i) * np.eye(2), VGM)
+                  for i in range(n_media))
+    return ProblemSpec(mesh=mesh, media=media,
+                       cell_medium=np.arange(mesh.n_cells) % n_media,
+                       dirichlet=dirichlet)
+
+
 def test_mpfa_singular_region_names_vertex():
-    verts = [(0, 0), (4, 0), (1, 1), (0, 4)]
-    mesh = build_mesh(verts, [[0, 1, 2, 3]])
-    spec = ProblemSpec(mesh=mesh, media=(Medium("m", np.eye(2), VGM),),
-                       cell_medium=[0], dirichlet={"boundary": 1.0})
-    with pytest.raises(AssemblyError, match="vertex"):
+    # arrowhead whose centroid is its vertex (1, 1): at (0, 0) the two
+    # edge midpoints lie on one line through the centroid
+    mesh = build_mesh([(0, 0), (4, 0), (1, 1), (0, 4)], [[0, 1, 2, 3]])
+    spec = _isotropic_spec(mesh, {"boundary": 1.0})
+    with pytest.raises(AssemblyError) as err:
         Discretization(spec, "mpfa-o")
+    assert str(err.value) == "vertex 0: singular interaction region in cell 0"
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["a-first", "b-first"])
+def test_mpfa_two_degenerate_corners_name_lowest_vertex(swap):
+    # arrowhead a and its point reflection b through the midpoint of the
+    # shared edge; a is degenerate at (0, 0), b at (4, 0)
+    pts = [(1, 1), (4, 0), (0, 4), (3, -1), (0, 0), (4, -4)]
+    cells = [[4, 1, 0, 2], [1, 4, 3, 5]]
+    if swap:  # exchange the ids of (0, 0) and (4, 0)
+        pts[1], pts[4] = pts[4], pts[1]
+        cells = [[{1: 4, 4: 1}.get(i, i) for i in c] for c in cells]
+    spec = _isotropic_spec(build_mesh(pts, cells), {"boundary": 1.0})
+    want = ("vertex 1: singular interaction region in cell "
+            f"{0 if swap else 1}")
+    with pytest.raises(AssemblyError) as err:
+        Discretization(spec, "mpfa-o")
+    assert str(err.value) == want
+    with pytest.raises(AssemblyError) as err:
+        _loop_mpfa_o_stencils(spec, *_boundary_kinds(spec))
+    assert str(err.value) == want
+
+
+@pytest.mark.parametrize("n_media, vertex", [(1, 23), (2, 26)])
+def test_mpfa_ill_conditioned_system_names_vertex(n_media, vertex):
+    # on the mixed mesh the 9-gon (cell 19) meets a pentagon along two
+    # faces at vertex 23 (cell 14) and at vertex 26 (cell 17); with one K
+    # in both cells such a two-face region is singular, and its system
+    # has a condition number near 1e16 whatever its pivots round to. With
+    # K alternating by cell parity only 17 and 19 share a medium
+    spec = _isotropic_spec(build_mesh(*mixed_input()), {"left": 1.0},
+                           n_media)
+    with pytest.raises(AssemblyError) as err:
+        Discretization(spec, "mpfa-o")
+    assert str(err.value) == (f"vertex {vertex}: singular "
+                              "interaction-region system")
 
 
 # -- face permeability ---------------------------------------------------
