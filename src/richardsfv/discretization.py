@@ -11,11 +11,13 @@ cells, via the continuation wrapper.
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sps
 
-from . import _kernels
+from . import _kernels, linalg
 from .constitutive import ConstitutiveModel, cell_curves, _kind_code
 
 __all__ = [
@@ -123,11 +125,28 @@ class ProblemSpec:
 
 @dataclass
 class Assembly:
-    """Picard system at a given state: A (CSR), b, and F = A h - b."""
+    """Picard system at a given state: A (CSR), b, and F = A h - b.
+
+    A is laid on its Discretization's fixed pattern: its indptr and
+    indices are that pattern's read-only arrays, shared by every matrix
+    the Discretization assembles, so change a copy's structure, not A's.
+    """
 
     A: sps.csr_matrix
     b: np.ndarray
     F: np.ndarray
+
+
+class SparsityPattern(NamedTuple):
+    """Fixed CSR structure (indptr, indices) of a Discretization's
+    matrices, and where each assembled entry goes in its data array."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    a_face: np.ndarray  # face of each entry of A
+    sign_w: np.ndarray  # its signed stencil weight
+    a_slot: np.ndarray  # its data slot
+    j_slot: np.ndarray  # data slots of the Jacobian's kr-derivative entries
 
 
 def face_kr(h_l, h_r, kr_l, kr_r, mode="central"):
@@ -218,8 +237,11 @@ class Discretization:
     """Precomputed flux stencils plus assembly entry points.
 
     Building a Discretization validates the problem and computes the
-    scheme stencils once; the per-iteration work is only constitutive
-    evaluation and sparse-value fills over fixed patterns.
+    scheme stencils once. On first use it also fixes the one sparsity
+    pattern of its Picard matrices and Jacobians (pattern) and a
+    fill-reducing ordering of that pattern (order), which every linear
+    solve reuses. The per-iteration work is only constitutive evaluation
+    and one bincount per entry-to-slot map into the pattern's data.
     """
 
     def __init__(self, spec, scheme="tpfa"):
@@ -241,6 +263,7 @@ class Discretization:
         self.face_ids, self.ptr, self.col, self.w, self.g = stencils
         self.cell_l = mesh.face_cells[self.face_ids, 0].copy()
         self.cell_r = mesh.face_cells[self.face_ids, 1].copy()
+        self.int_faces = np.nonzero(self.cell_r >= 0)[0]
 
         # fixed source / Neumann part of b
         self.b_base = spec.source_per_cell() * mesh.cell_area
@@ -262,29 +285,52 @@ class Discretization:
                     medium.model, h_dir[sel], mesh.cell_centroid[c, 1],
                     mesh.cell_zmin[c], mesh.cell_zmax[c])[2]
 
-        self._build_patterns()
         self._group_media()
         self.mode_code = {"central": 0, "upwind": 1}[spec.kr_mode]
 
-    def _build_patterns(self):
-        m = len(self.face_ids)
-        entry_face = np.repeat(np.arange(m, dtype=np.int64),
+    @cached_property
+    def pattern(self):
+        """The one CSR sparsity pattern of A(h) and J(h), built on first
+        use: every stencil entry of A and the four kr-derivative entries
+        (rows and columns cl, cr) of each interior face, which for TPFA
+        and MPFA-O fall inside A's. Entry e of A, sign_w[e] *
+        K[a_face[e]], adds into data slot a_slot[e]."""
+        n = self.n_cells
+        entry_face = np.repeat(np.arange(len(self.face_ids)),
                                np.diff(self.ptr))
-        rows_l = self.cell_l[entry_face]
         interior_entry = self.cell_r[entry_face] >= 0
-        rows_r = self.cell_r[entry_face][interior_entry]
-        self.a_rows = np.concatenate([rows_l, rows_r])
-        self.a_cols = np.concatenate([self.col, self.col[interior_entry]])
-        self.a_face = np.concatenate([entry_face, entry_face[interior_entry]])
-        self.a_sign = np.concatenate([np.ones(len(rows_l)),
-                                      -np.ones(len(rows_r))])
-        self.a_w = np.concatenate([self.w, self.w[interior_entry]])
-
-        self.int_faces = np.nonzero(self.cell_r >= 0)[0]
+        a_face = np.concatenate([entry_face, entry_face[interior_entry]])
+        a_rows = np.concatenate([self.cell_l[entry_face],
+                                 self.cell_r[entry_face[interior_entry]]])
+        a_cols = np.concatenate([self.col, self.col[interior_entry]])
+        sign_w = np.concatenate([self.w, -self.w[interior_entry]])
         cl = self.cell_l[self.int_faces]
         cr = self.cell_r[self.int_faces]
-        self.j_rows = np.concatenate([cl, cl, cr, cr])
-        self.j_cols = np.concatenate([cl, cr, cl, cr])
+        keys, slot = np.unique(
+            np.concatenate([a_rows, cl, cl, cr, cr]) * n +
+            np.concatenate([a_cols, cl, cr, cl, cr]), return_inverse=True)
+        indptr = np.zeros(n + 1, dtype=np.intc)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        indices = (keys % n).astype(np.intc)
+        indptr.flags.writeable = indices.flags.writeable = False
+        return SparsityPattern(indptr, indices, a_face, sign_w,
+                               slot[:len(a_face)], slot[len(a_face):])
+
+    @cached_property
+    def order(self):
+        """The fill-reducing Ordering of the pattern, computed once and
+        passed to every linear solve of this discretization."""
+        return linalg.Ordering(self.pattern.indptr, self.pattern.indices)
+
+    def _matrix(self, data):
+        pat = self.pattern
+        return sps.csr_matrix((data, pat.indices, pat.indptr),
+                              shape=(self.n_cells, self.n_cells))
+
+    def _a_data(self, K):
+        pat = self.pattern
+        return np.bincount(pat.a_slot, pat.sign_w * K[pat.a_face],
+                           minlength=len(pat.indices))
 
     def _group_media(self):
         mesh = self.spec.mesh
@@ -329,12 +375,7 @@ class Discretization:
     def assemble(self, h, q, kind):
         """Picard matrix A(h), right-hand side b(h), and F = A h - b."""
         flux0, K, _, _ = self._face_system(h, q, kind, False)
-        a_vals = self.a_sign * K[self.a_face] * self.a_w
-        A = sps.coo_matrix(
-            (a_vals, (self.a_rows, self.a_cols)),
-            shape=(self.n_cells, self.n_cells)).tocsr()
-        A.sum_duplicates()
-        A.sort_indices()
+        A = self._matrix(self._a_data(K))
         b = self.b_base - _kernels.scatter_faces(
             K * self.g, self.cell_l, self.cell_r, self.n_cells)
         F = _kernels.scatter_faces(
@@ -342,26 +383,19 @@ class Discretization:
         return Assembly(A=A, b=b, F=F)
 
     def assemble_jacobian(self, h, q, kind, with_residual=False):
-        """Exact Jacobian of F at h (same fill pattern as A plus the
-        permeability-derivative entries of interior faces)."""
+        """Exact Jacobian of F at h: A plus the permeability-derivative
+        entries of interior faces, on the same pattern as A."""
         flux0, K, dk_l, dk_r = self._face_system(h, q, kind, True)
-        a_vals = self.a_sign * K[self.a_face] * self.a_w
-        if q == 0.0:
-            # K is constant, so J is A; build it identically (bitwise)
-            rows, cols, vals = self.a_rows, self.a_cols, a_vals
-        else:
+        data = self._a_data(K)
+        if q != 0.0:  # at q = 0 K is constant, so J is A (bitwise)
             fi = self.int_faces
             fl = flux0[fi]
-            j_vals = np.concatenate([dk_l[fi] * fl, dk_r[fi] * fl,
-                                     -dk_l[fi] * fl, -dk_r[fi] * fl])
-            rows = np.concatenate([self.a_rows, self.j_rows])
-            cols = np.concatenate([self.a_cols, self.j_cols])
-            vals = np.concatenate([a_vals, j_vals])
-        J = sps.coo_matrix(
-            (vals, (rows, cols)),
-            shape=(self.n_cells, self.n_cells)).tocsr()
-        J.sum_duplicates()
-        J.sort_indices()
+            data += np.bincount(
+                self.pattern.j_slot,
+                np.concatenate([dk_l[fi] * fl, dk_r[fi] * fl,
+                                -dk_l[fi] * fl, -dk_r[fi] * fl]),
+                minlength=len(data))
+        J = self._matrix(data)
         if with_residual:
             F = _kernels.scatter_faces(
                 K * flux0, self.cell_l, self.cell_r, self.n_cells) \

@@ -1,8 +1,14 @@
 """Sparse linear solves for the assembled systems.
 
 Every system is factorized by sparse LU (SuperLU through
-``scipy.sparse.linalg.splu``). The true residual is recomputed after
-each solve, so a returned solution is one whose residual was checked.
+``scipy.sparse.linalg.splu``). The fill-reducing column ordering is not
+recomputed per factorization: an Ordering holds one symmetric
+permutation P for a sparsity pattern, found once by minimum degree on
+the pattern of A^T + A, and solve factors P A P^T in its natural order.
+A Discretization keeps one Ordering for the fixed pattern of all its
+matrices; a solve given no Ordering builds one from A's own pattern.
+The true residual is recomputed after each solve, so a returned
+solution is one whose residual was checked.
 """
 
 from dataclasses import dataclass
@@ -11,7 +17,7 @@ import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-__all__ = ["LinearSolveReport", "SingularMatrixError", "solve"]
+__all__ = ["LinearSolveReport", "Ordering", "SingularMatrixError", "solve"]
 
 # Largest accepted ||A x - b||_2 / ||b||_2; a solve that leaves more
 # raises SingularMatrixError and the nonlinear step fails.
@@ -29,13 +35,57 @@ class LinearSolveReport:
     rel_residual is the true ||A x - b||_2 / ||b||_2 recomputed after
     the solve (0 when b = 0 and x = 0). method is "splu", or "trivial"
     for b = 0. A direct solve takes no iterations and a failed one
-    raises, so iterations is 0 and breakdown is False.
+    raises, so iterations is 0 and breakdown is False. lu_nnz is the
+    fill of the factors, their nonzeros L.nnz + U.nnz (0 for b = 0).
     """
 
     iterations: int
     rel_residual: float
     breakdown: bool
     method: str
+    lu_nnz: int = 0
+
+
+class Ordering:
+    """A fill-reducing symmetric permutation for one CSR sparsity
+    pattern (indptr, indices: sorted, no duplicates).
+
+    p is SuperLU's MMD_AT_PLUS_A column order, argsort(perm_c), of a
+    stand-in matrix: the pattern plus the diagonal, with diagonally
+    dominant values, so values of the matrices solved later play no
+    part. perm_c is fixed before SuperLU factors, so an incomplete
+    factorization that keeps almost nothing yields the same order as a
+    full one at about a third of the cost. gather lays the data of any
+    matrix of the pattern out as the CSC data of P A P^T, whose
+    structure is csc_indices and csc_indptr.
+    """
+
+    def __init__(self, indptr, indices):
+        self.indptr = np.asarray(indptr)
+        self.indices = np.asarray(indices)
+        n = len(self.indptr) - 1
+        self.shape = (n, n)
+        nnz = len(self.indices)
+        standin = sps.csr_matrix((np.full(nnz, -1.0), self.indices,
+                                  self.indptr), shape=self.shape) + \
+            sps.diags(np.diff(self.indptr) + 1.0)
+        self.p = np.argsort(spla.spilu(
+            standin.tocsc(), drop_tol=1.0, fill_factor=1,
+            permc_spec="MMD_AT_PLUS_A").perm_c)
+        # entry numbers laid out as P A P^T in CSC are the gather map;
+        # they start at 1, so that no entry is an explicit zero
+        entries = sps.csr_matrix((np.arange(1, nnz + 1), self.indices,
+                                  self.indptr), shape=self.shape)
+        PAPt = entries[self.p].tocsc()[:, self.p]
+        self.gather = PAPt.data - 1
+        self.csc_indices = PAPt.indices.astype(np.intc, copy=False)
+        self.csc_indptr = PAPt.indptr.astype(np.intc, copy=False)
+
+    def matches(self, A):
+        """True when CSR matrix A has exactly this pattern."""
+        return A.shape == self.shape and \
+            np.array_equal(A.indptr, self.indptr) and \
+            np.array_equal(A.indices, self.indices)
 
 
 def _check_matrix(A, b):
@@ -52,16 +102,21 @@ def _check_matrix(A, b):
     if empty_rows.any():
         raise SingularMatrixError(
             f"matrix row {int(np.nonzero(empty_rows)[0][0])} is empty")
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
     return A, b
 
 
-def solve(A, b):
+def solve(A, b, order=None):
     """Solve A x = b by sparse LU and check the true residual.
 
     Parameters
     ----------
     A : scipy sparse matrix (or array-like convertible to one)
     b : vector
+    order : Ordering of A's sparsity pattern, or None to build one from
+        A (the same permutation either way)
 
     Returns
     -------
@@ -69,6 +124,8 @@ def solve(A, b):
 
     Raises
     ------
+    ValueError
+        When order was built for another pattern.
     SingularMatrixError
         For structurally or numerically singular systems: an empty row,
         a failed factorization, or a relative residual that is not
@@ -79,12 +136,25 @@ def solve(A, b):
     if bnorm == 0.0:
         return np.zeros(A.shape[0]), LinearSolveReport(0, 0.0, False,
                                                        "trivial")
+    if order is None:
+        order = Ordering(A.indptr, A.indices)
+    elif not order.matches(A):
+        raise ValueError(
+            f"ordering was built for a {order.shape[0]}x{order.shape[1]} "
+            f"pattern with {len(order.indices)} entries, not for this "
+            f"{A.shape[0]}x{A.shape[1]} matrix with {A.nnz}")
+    PAPt = sps.csc_matrix(
+        (A.data[order.gather], order.csc_indices, order.csc_indptr),
+        shape=A.shape)
     try:
-        x = spla.splu(A.tocsc()).solve(b)
+        lu = spla.splu(PAPt, permc_spec="NATURAL")
     except RuntimeError as exc:
         raise SingularMatrixError(f"sparse LU failed: {exc}") from None
+    x = np.empty_like(b)
+    x[order.p] = lu.solve(b[order.p])
     res = float(np.linalg.norm(A @ x - b) / bnorm)
     if not res < MAX_REL_RESIDUAL:
         raise SingularMatrixError(
             f"sparse LU left relative residual {res:.3e}")
-    return x, LinearSolveReport(0, res, False, "splu")
+    return x, LinearSolveReport(0, res, False, "splu",
+                                lu.L.nnz + lu.U.nnz)

@@ -152,13 +152,13 @@ class ConvergenceTrace:
 def newton_step(disc, h, q, kind):
     """Solve J(h) dh = -F(h); returns (dh, linear report)."""
     J, F = disc.assemble_jacobian(h, q, kind, with_residual=True)
-    return linalg.solve(J, -F)
+    return linalg.solve(J, -F, disc.order)
 
 
 def picard_step(disc, h, q, kind):
     """Solve A(h) dh = -F(h), the update form of A(h) h_new = b(h)."""
     asm = disc.assemble(h, q, kind)
-    return linalg.solve(asm.A, -asm.F)
+    return linalg.solve(asm.A, -asm.F, disc.order)
 
 
 def armijo_line_search(disc, h, dh, q, kind, cfg=None, res2=None):

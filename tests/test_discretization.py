@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 from richardsfv import _mpfa
 from richardsfv.benchmarks import (build_dam, build_layered_slab,
@@ -448,6 +449,61 @@ def test_jacobian_equals_A_at_q0(scheme):
     asm = disc.assemble(h, 0.0, "linear")
     J = disc.assemble_jacobian(h, 0.0, "linear")
     assert abs(J - asm.A).max() == 0.0
+
+
+def _coo_assembly(disc, h, q, kind, take=lambda v: v):
+    """A and J built the way assembly once did, from every entry listed
+    in COO form and summed by scipy; take maps the entry values (abs
+    gives the per-slot sums of |terms| that bound the rounding)."""
+    n = disc.n_cells
+    entry_face = np.repeat(np.arange(len(disc.face_ids)), np.diff(disc.ptr))
+    interior_entry = disc.cell_r[entry_face] >= 0
+    rows = np.concatenate([disc.cell_l[entry_face],
+                           disc.cell_r[entry_face][interior_entry]])
+    cols = np.concatenate([disc.col, disc.col[interior_entry]])
+    face = np.concatenate([entry_face, entry_face[interior_entry]])
+    sign = np.concatenate([np.ones(len(entry_face)),
+                           -np.ones(interior_entry.sum())])
+    w = np.concatenate([disc.w, disc.w[interior_entry]])
+    flux0, K, dk_l, dk_r = disc._face_system(h, q, kind, True)
+    a_vals = sign * K[face] * w
+
+    def csr(r, c, v):
+        M = sps.coo_matrix((take(v), (r, c)), shape=(n, n)).tocsr()
+        M.sum_duplicates()
+        M.sort_indices()
+        return M
+
+    A = csr(rows, cols, a_vals)
+    if q == 0.0:
+        return A, A
+    fi = np.nonzero(disc.cell_r >= 0)[0]
+    cl, cr, fl = disc.cell_l[fi], disc.cell_r[fi], flux0[fi]
+    J = csr(np.concatenate([rows, cl, cl, cr, cr]),
+            np.concatenate([cols, cl, cr, cl, cr]),
+            np.concatenate([a_vals, dk_l[fi] * fl, dk_r[fi] * fl,
+                            -dk_l[fi] * fl, -dk_r[fi] * fl]))
+    return A, J
+
+
+@pytest.mark.parametrize("scheme", ["tpfa", "mpfa-o"])
+@pytest.mark.parametrize("grid", ["tri16-renumbered", "cart20"])
+@pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("kind", ["linear", "power"])
+def test_fixed_pattern_assembly_matches_coo_build(scheme, grid, q, kind):
+    mesh = _renumbered_tri16() if grid == "tri16-renumbered" else "400"
+    disc = Discretization(build_dam("vgm", mesh), scheme)
+    h = np.random.default_rng(11).uniform(1.0, 11.0, disc.n_cells)
+    got = (disc.assemble(h, q, kind).A, disc.assemble_jacobian(h, q, kind))
+    ref = _coo_assembly(disc, h, q, kind)
+    bound = _coo_assembly(disc, h, q, kind, take=np.abs)
+    for g, r, b in zip(got, ref, bound):
+        assert np.array_equal(g.indptr, r.indptr)
+        assert np.array_equal(g.indices, r.indices)
+        # summed in another order: a few roundings of the |terms| each
+        assert (np.abs(g.data - r.data) <= 1e-14 * b.data).all()
+    if q > 0.0:
+        assert not np.array_equal(got[0].data, got[1].data)
 
 
 def fd_jacobian(disc, h, q, kind, step_scale=1e-6):

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from richardsfv.linalg import SingularMatrixError, solve
+from richardsfv.linalg import Ordering, SingularMatrixError, solve
 
 
 def lap1d(n):
@@ -79,9 +79,18 @@ def _proportional_rows(n):
     return A.tocsr()
 
 
+def _proportional_rows_shifted(n):
+    # singular only to roundoff: the factorization completes, and the
+    # residual gate refuses the solution
+    A = _proportional_rows(n).tolil()
+    A[n // 2, n // 2] += 1e-14
+    return A.tocsr()
+
+
 @pytest.mark.parametrize("make, message", [
     (_neumann_lap1d, "sparse LU failed"),
-    (_proportional_rows, "relative residual"),
+    (_proportional_rows, "sparse LU failed: Factor is exactly singular"),
+    (_proportional_rows_shifted, "relative residual"),
 ])
 def test_numerically_singular_large(make, message):
     n = 2500
@@ -98,6 +107,7 @@ class _OffsetLU:
     def __init__(self, A, rel):
         self.d = A.diagonal()
         self.rel = rel
+        self.L = self.U = sps.diags(self.d)
 
     def solve(self, b):
         x = b / self.d
@@ -112,16 +122,17 @@ def test_reported_success_is_true_residual(monkeypatch):
     n = 50
     A = sps.diags(np.linspace(1.0, 3.0, n)).tocsr()
     b = np.random.default_rng(0).standard_normal(n)
+    order = Ordering(A.indptr, A.indices)  # before splu is replaced
     for rel, accepted in ((1e-7, True), (9.9e-7, True), (1.01e-6, False),
                           (1e-3, False), (np.inf, False), (np.nan, False)):
         monkeypatch.setattr(spla, "splu",
-                            lambda M, rel=rel: _OffsetLU(M, rel))
+                            lambda M, rel=rel, **kw: _OffsetLU(M, rel))
         if not accepted:
             with pytest.raises(SingularMatrixError,
                                match="relative residual"):
-                solve(A, b)
+                solve(A, b, order)
             continue
-        x, rep = solve(A, b)
+        x, rep = solve(A, b, order)
         true = np.linalg.norm(A @ x - b) / np.linalg.norm(b)
         assert rep.rel_residual == true
         assert rep.rel_residual == pytest.approx(rel, rel=1e-6)
@@ -141,3 +152,97 @@ def test_shape_mismatch():
         solve(lap1d(3), np.ones(4))
     with pytest.raises(ValueError):
         solve(sps.csr_matrix(np.ones((2, 3))), np.ones(2))
+
+
+def _random_pattern_values(A, seed):
+    """A copy of A (diagonally dominant) with fresh values."""
+    M = A.copy()
+    rng = np.random.default_rng(seed)
+    M.data = rng.uniform(-1.0, 1.0, M.nnz)
+    M.setdiag(3.0 + np.abs(M).sum(axis=1).A1)
+    return M
+
+
+def _grid_matrix(seed):
+    # 2D five-point pattern over a 12 x 12 grid, rows shuffled
+    n1 = sps.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(12, 12))
+    A = sps.kronsum(n1, n1).tocsr()
+    p = np.random.default_rng(seed).permutation(A.shape[0])
+    return _random_pattern_values(A[p][:, p].tocsr(), seed)
+
+
+def test_ordering_depends_only_on_pattern():
+    A = _grid_matrix(1)
+    B = _random_pattern_values(A, 2)
+    assert not np.array_equal(A.data, B.data)
+    pa, pb = (Ordering(M.indptr, M.indices).p for M in (A, B))
+    assert np.array_equal(pa, pb)
+    assert np.array_equal(np.sort(pa), np.arange(A.shape[0]))
+
+
+def test_ordering_is_the_full_factorization_order():
+    # the incomplete factorization behind Ordering fixes the column
+    # order a complete LU of the same stand-in would use
+    A = _grid_matrix(7)
+    standin = sps.csr_matrix((-np.ones(A.nnz), A.indices, A.indptr)) + \
+        sps.diags(np.diff(A.indptr) + 1.0)
+    lu = spla.splu(standin.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    assert np.array_equal(Ordering(A.indptr, A.indices).p,
+                          np.argsort(lu.perm_c))
+
+
+def test_solve_with_ordering_equals_solve_without():
+    A = _grid_matrix(3)
+    b = np.random.default_rng(4).standard_normal(A.shape[0])
+    x1, rep1 = solve(A, b)
+    x2, rep2 = solve(A, b, Ordering(A.indptr, A.indices))
+    assert np.array_equal(x1, x2)
+    assert rep1 == rep2
+    expect = spla.spsolve(A.tocsc(), b)
+    assert np.abs(x1 - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+def test_ordering_for_another_pattern_is_refused():
+    A = _grid_matrix(5)
+    b = np.ones(A.shape[0])
+    other = lap1d(A.shape[0])  # same shape, fewer entries
+    with pytest.raises(ValueError, match=f"with {A.nnz}$"):
+        solve(A, b, Ordering(other.indptr, other.indices))
+    small = lap1d(10)
+    with pytest.raises(ValueError, match="a 10x10 pattern"):
+        solve(A, b, Ordering(small.indptr, small.indices))
+    # same shape and entry count, other places
+    moved = sps.csr_matrix((A.data, (A.indices + 1) % A.shape[0], A.indptr))
+    moved.sort_indices()
+    with pytest.raises(ValueError, match="ordering was built"):
+        solve(A, b, Ordering(moved.indptr, moved.indices))
+
+
+def test_duplicate_entries_are_summed():
+    A = _grid_matrix(8)
+    b = np.ones(A.shape[0])
+    # each row lists its entries at half value, then again reversed
+    coo = A.tocoo()
+    row = np.r_[coo.row, coo.row[::-1]]
+    by_row = np.argsort(row, kind="stable")
+    dup = sps.csr_matrix(
+        (np.r_[coo.data, coo.data[::-1]][by_row] / 2,
+         np.r_[coo.col, coo.col[::-1]][by_row], 2 * A.indptr),
+        shape=A.shape)
+    assert not dup.has_canonical_format
+    x, _ = solve(A, b)
+    xd, _ = solve(dup, b)
+    np.testing.assert_allclose(xd, x, rtol=1e-12)
+
+
+def test_lu_nnz_is_the_factor_fill():
+    A = _grid_matrix(6)
+    b = np.ones(A.shape[0])
+    order = Ordering(A.indptr, A.indices)
+    _, rep = solve(A, b, order)
+    PAPt = A[order.p][:, order.p].tocsc()
+    lu = spla.splu(PAPt, permc_spec="NATURAL")
+    assert rep.lu_nnz == lu.L.nnz + lu.U.nnz
+    assert rep.lu_nnz > A.nnz  # the five-point pattern fills in
+    _, rep0 = solve(A, np.zeros(A.shape[0]))
+    assert rep0.lu_nnz == 0

@@ -219,6 +219,7 @@ def test_determinism(dam400):
 
 class SingularJacobian:
     n_cells = 2
+    order = None
 
     def residual(self, h, q, kind):
         return np.array([1.0, 1.0])
@@ -239,6 +240,7 @@ class UphillSystem:
     """Grows in every direction: line search must fail."""
 
     n_cells = 1
+    order = None
 
     def residual(self, h, q, kind):
         return np.array([1.0 + h[0] ** 2])
