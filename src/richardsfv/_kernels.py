@@ -1,5 +1,11 @@
 """Vectorized numpy kernels for constitutive curves and face assembly.
 
+Only a Jacobian needs derivatives: residuals (every line-search trial),
+Picard matrices and face fluxes use kr alone. The curve kernels and
+face_system take need_deriv and, when it is false, skip theta and every
+derivative; kr comes from the same operations either way, so it is
+bitwise the same.
+
 All functions are free of Python-level state. Callers reach them
 through this module's attributes (``_kernels.face_system``) rather than
 importing the names, so a wrapper installed on the module sees every
@@ -13,7 +19,7 @@ import numpy as np
 _SE_SAT = 1.0 - 1e-15
 
 
-def vgm_curves(psi, theta_r, theta_s, alpha, n):
+def vgm_curves(psi, theta_r, theta_s, alpha, n, need_deriv=True):
     """Van Genuchten water content and Mualem relative permeability.
 
     Parameters
@@ -23,6 +29,9 @@ def vgm_curves(psi, theta_r, theta_s, alpha, n):
         returns theta_s / kr = 1 with zero derivatives.
     theta_r, theta_s, alpha, n : float
         Retention parameters; m = 1 - 1/n.
+    need_deriv : bool
+        When false only kr is computed, by the same operations as
+        otherwise, and theta, dtheta_dpsi and dkr_dpsi are None.
 
     Returns
     -------
@@ -30,12 +39,6 @@ def vgm_curves(psi, theta_r, theta_s, alpha, n):
     """
     psi = np.asarray(psi, dtype=float)
     m = 1.0 - 1.0 / n
-    dtw = theta_s - theta_r
-
-    theta = np.full_like(psi, theta_s)
-    dtheta = np.zeros_like(psi)
-    kr = np.ones_like(psi)
-    dkr = np.zeros_like(psi)
 
     wet = psi >= 0.0
     p = -psi[~wet]
@@ -53,7 +56,11 @@ def vgm_curves(psi, theta_r, theta_s, alpha, n):
     # otherwise dominates g for small t
     la = np.log1p(-t)
     g = -np.expm1(m * la)
-    kr_u = sqrt_se * g * g
+    kr = np.ones_like(psi)
+    kr[~wet] = np.where(sat, 1.0, np.where(dry, 0.0, sqrt_se * g * g))
+    if not need_deriv:
+        return None, None, kr, None
+
     # (alpha p)^(n-1) = u/(alpha p) and (1+u)^(-m-1) = se/(1+u); ditto
     # (1-t)^(m-1) = (1-g)/(1-t) and se^(1/m-1) = t/se below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -62,25 +69,25 @@ def vgm_curves(psi, theta_r, theta_s, alpha, n):
     dkr_dse = 0.5 / sqrt_se * g * g \
         + 2.0 * sqrt_se * g * ((1.0 - g) / (1.0 - t)) * (t / se_w)
 
-    th_u = theta_r + dtw * se
-    th_u = np.where(sat, theta_s, th_u)
-    dth_u = np.where(sat | dry, 0.0, dtw * dse)
-    kr_u = np.where(sat, 1.0, np.where(dry, 0.0, kr_u))
-    dkr_u = np.where(sat | dry, 0.0, dkr_dse * dse)
-
-    theta[~wet] = th_u
-    dtheta[~wet] = dth_u
-    kr[~wet] = kr_u
-    dkr[~wet] = dkr_u
+    theta = np.full_like(psi, theta_s)
+    dtheta = np.zeros_like(psi)
+    dkr = np.zeros_like(psi)
+    dtw = theta_s - theta_r
+    theta[~wet] = np.where(sat, theta_s, theta_r + dtw * se)
+    dtheta[~wet] = np.where(sat | dry, 0.0, dtw * dse)
+    dkr[~wet] = np.where(sat | dry, 0.0, dkr_dse * dse)
     return theta, dtheta, kr, dkr
 
 
-def unconf_curves(h, z_min, z_max, phi, alpha_phi, alpha_theta, floor_frac):
+def unconf_curves(h, z_min, z_max, phi, alpha_phi, alpha_theta, floor_frac,
+                  need_deriv=True):
     """Piecewise-linear unconfined water content and kr = theta/phi.
 
     Kinks use the right-hand derivative. The third branch is clamped at
     phi * alpha_phi * floor_frac to keep theta positive; the number of
-    clamped entries is returned so callers can log it.
+    clamped entries is returned so callers can log it. When need_deriv
+    is false only kr is returned, and theta, dtheta_dh and dkr_dh are
+    None.
 
     Returns
     -------
@@ -97,13 +104,16 @@ def unconf_curves(h, z_min, z_max, phi, alpha_phi, alpha_theta, floor_frac):
                      np.where(h >= h_r,
                               phi * (h - z_min) / dz,
                               phi * (alpha_phi - alpha_theta * (h_r - h))))
-    dtheta = np.where(h >= z_max, 0.0,
-                      np.where(h >= h_r, phi / dz, phi * alpha_theta))
     floor = phi * alpha_phi * floor_frac
     clamped = theta < floor
     n_clamped = int(clamped.sum())
     if n_clamped:
         theta = np.where(clamped, floor, theta)
+    if not need_deriv:
+        return None, None, theta / phi, None, n_clamped
+    dtheta = np.where(h >= z_max, 0.0,
+                      np.where(h >= h_r, phi / dz, phi * alpha_theta))
+    if n_clamped:
         dtheta = np.where(clamped, 0.0, dtheta)
     return theta, dtheta, theta / phi, dtheta / phi, n_clamped
 
@@ -141,7 +151,8 @@ def face_system(h, kr, dkr, kr_dir, cell_l, cell_r, ptr, col, w, g,
     g[f]. Face permeability uses the central half-sum (mode_code 0) or
     the higher-head upwind value (mode_code 1, ties fall back to the
     half-sum); Dirichlet boundary faces (cell_r < 0) use the precomputed
-    kr_dir value, which carries no derivative.
+    kr_dir value, which carries no derivative. dkr is read only when
+    need_deriv is true, so it may be None otherwise.
 
     Returns
     -------

@@ -128,7 +128,7 @@ def vgm_kr_of_head(h, z, p):
     """kr as a function of hydraulic head: kr(theta(h - z))."""
     psi = np.asarray(h, dtype=float) - np.asarray(z, dtype=float)
     _, _, kr, _ = _kernels.vgm_curves(
-        np.atleast_1d(psi), p.theta_r, p.theta_s, p.alpha, p.n)
+        np.atleast_1d(psi), p.theta_r, p.theta_s, p.alpha, p.n, False)
     return float(kr[0]) if psi.ndim == 0 else kr.reshape(psi.shape)
 
 
@@ -178,19 +178,20 @@ def _kind_code(kind):
             "(expected 'linear' or 'power')") from None
 
 
-def cell_curves(model, h, z_centroid, z_min, z_max):
+def cell_curves(model, h, z_centroid, z_min, z_max, need_deriv=True):
     """Vectorized (theta, dtheta_dh, kr, dkr_dh) for an array of cells.
 
     VGM evaluates at psi = h - z_centroid; the unconfined model uses the
-    cell vertical extents directly.
+    cell vertical extents directly. When need_deriv is false only kr is
+    evaluated, and theta, dtheta_dh and dkr_dh are None.
     """
     if isinstance(model, VgmParams):
         return _kernels.vgm_curves(
             h - z_centroid, model.theta_r, model.theta_s,
-            model.alpha, model.n)
+            model.alpha, model.n, need_deriv)
     th, dth, kr, dkr, n_clamped = _kernels.unconf_curves(
         h, z_min, z_max, model.phi, model.alpha_phi, model.alpha_theta,
-        UNCONF_FLOOR)
+        UNCONF_FLOOR, need_deriv)
     if n_clamped:
         logger.warning("unconfined theta floor active in %d cells", n_clamped)
     return th, dth, kr, dkr

@@ -242,6 +242,8 @@ class Discretization:
     fill-reducing ordering of that pattern (order), which every linear
     solve reuses. The per-iteration work is only constitutive evaluation
     and one bincount per entry-to-slot map into the pattern's data.
+    Only assemble_jacobian needs the kr derivatives; residual, assemble
+    and face_fluxes evaluate kr alone.
     """
 
     def __init__(self, spec, scheme="tpfa"):
@@ -283,7 +285,7 @@ class Discretization:
                 c = cells[sel]
                 self.kr_dir[at[sel]] = cell_curves(
                     medium.model, h_dir[sel], mesh.cell_centroid[c, 1],
-                    mesh.cell_zmin[c], mesh.cell_zmax[c])[2]
+                    mesh.cell_zmin[c], mesh.cell_zmax[c], False)[2]
 
         self._group_media()
         self.mode_code = {"central": 0, "upwind": 1}[spec.kr_mode]
@@ -345,22 +347,24 @@ class Discretization:
 
     # -- per-state evaluations ------------------------------------------
 
-    def cell_state(self, h):
-        """Vectorized (theta, dtheta, kr, dkr) over all cells."""
+    def cell_state(self, h, need_deriv=True):
+        """Vectorized (theta, dtheta, kr, dkr) over all cells. When
+        need_deriv is false only kr is evaluated, and theta, dtheta and
+        dkr are None."""
         n = self.n_cells
-        theta = np.empty(n)
-        dtheta = np.empty(n)
         kr = np.empty(n)
-        dkr = np.empty(n)
+        theta, dtheta, dkr = (np.empty(n), np.empty(n), np.empty(n)) \
+            if need_deriv else (None, None, None)
         for model, ids in self.groups:
-            th, dth, k, dk = cell_curves(
+            th, dth, kr[ids], dk = cell_curves(
                 model, h[ids], self.z_c[ids],
-                self.z_min[ids], self.z_max[ids])
-            theta[ids], dtheta[ids], kr[ids], dkr[ids] = th, dth, k, dk
+                self.z_min[ids], self.z_max[ids], need_deriv)
+            if need_deriv:
+                theta[ids], dtheta[ids], dkr[ids] = th, dth, dk
         return theta, dtheta, kr, dkr
 
     def _face_system(self, h, q, kind, need_deriv):
-        _, _, kr, dkr = self.cell_state(h)
+        _, _, kr, dkr = self.cell_state(h, need_deriv)
         return _kernels.face_system(
             h, kr, dkr, self.kr_dir, self.cell_l, self.cell_r,
             self.ptr, self.col, self.w, self.g,

@@ -244,3 +244,66 @@ def test_unconf_derivatives_match_fd():
     assert np.abs(fd - dtheta).max() <= 1e-6 * max(np.abs(dtheta).max(), 1.0)
     fd_kr = fd / U_REF.phi
     assert np.abs(fd_kr - dkr).max() <= 1e-6
+
+
+# -- kr without derivatives ----------------------------------------------
+
+def _mualem_kr_steps(psi, alpha, n):
+    """Mualem kr of unsaturated, not dry psi, by the kernel's own
+    operations written out one step at a time."""
+    m = 1.0 - 1.0 / n
+    se = np.power(1.0 + np.power(alpha * -psi, n), -m)
+    t = np.power(se, 1.0 / m)
+    g = -np.expm1(m * np.log1p(-t))
+    return np.sqrt(se) * g * g
+
+
+VGM_BRANCHES = {
+    # psi >= 0
+    "wet": np.array([0.0, 1e-300, 6.6e-12, 3.5]),
+    # se rounds to within 1e-15 of 1
+    "saturated": np.array([-1e-17, -3e-17, -1e-30, -5e-324]),
+    # (alpha |psi|)^n overflows, so se = 0
+    "dry": np.array([-1e300, -1.7e308, -np.inf]),
+    "ordinary": -np.geomspace(1e-5, 1e5, 57),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(VGM_BRANCHES))
+@pytest.mark.parametrize("n", [1.2, 2.0])
+def test_vgm_kr_alone_is_bitwise_the_full_kr(n, branch):
+    from richardsfv import _kernels
+    p = VgmParams(0.05, 0.4, 1.3, n)
+    psi = VGM_BRANCHES[branch]
+    args = (psi, p.theta_r, p.theta_s, p.alpha, p.n)
+    full = _kernels.vgm_curves(*args)
+    alone = _kernels.vgm_curves(*args, need_deriv=False)
+    assert alone[0] is None and alone[1] is None and alone[3] is None
+    assert np.array_equal(alone[2], full[2])
+    with np.errstate(over="ignore"):
+        se = np.power(1.0 + np.power(p.alpha * np.maximum(-psi, 0.0), n),
+                      -p.m)
+    if branch == "wet":
+        assert (psi >= 0.0).all() and (alone[2] == 1.0).all()
+    elif branch == "saturated":
+        assert (psi < 0.0).all() and (se >= _kernels._SE_SAT).all()
+        assert (alone[2] == 1.0).all()
+    elif branch == "dry":
+        assert (se == 0.0).all() and (alone[2] == 0.0).all()
+    else:
+        assert ((se > 0.0) & (se < _kernels._SE_SAT)).all()
+        assert np.array_equal(alone[2], _mualem_kr_steps(psi, p.alpha, n))
+
+
+def test_unconf_kr_alone_is_bitwise_the_full_kr():
+    from richardsfv import _kernels
+    z_min, z_max = np.zeros(60), np.full(60, 3.0)
+    # all three branches and the clamp below the third
+    h = np.linspace(-40.0, 5.0, 60)
+    args = (h, z_min, z_max, U_REF.phi, U_REF.alpha_phi, U_REF.alpha_theta,
+            1e-6)
+    *full, n_full = _kernels.unconf_curves(*args)
+    *alone, n_alone = _kernels.unconf_curves(*args, need_deriv=False)
+    assert n_alone == n_full > 0
+    assert alone[0] is None and alone[1] is None and alone[3] is None
+    assert np.array_equal(alone[2], full[2])

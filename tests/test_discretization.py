@@ -506,6 +506,34 @@ def test_fixed_pattern_assembly_matches_coo_build(scheme, grid, q, kind):
         assert not np.array_equal(got[0].data, got[1].data)
 
 
+@pytest.mark.parametrize("scheme", ["tpfa", "mpfa-o"])
+@pytest.mark.parametrize("model", ["vgm", "unconfined"])
+@pytest.mark.parametrize("kind, q", [("linear", 1.0), ("power", 0.6)])
+@pytest.mark.parametrize("kr_mode", ["central", "upwind"])
+def test_kr_alone_evaluations_equal_full_state(scheme, model, kind, q,
+                                               kr_mode, monkeypatch):
+    # residual, assemble and face_fluxes evaluate kr alone; built from
+    # the full cell_state instead they must be bitwise the same
+    disc = Discretization(build_dam(model, "triangular:6x6", kr_mode),
+                          scheme)
+    h = np.random.default_rng(5).uniform(-1.0, 11.0, disc.n_cells)
+
+    def evaluate():
+        asm = disc.assemble(h, q, kind)
+        return (disc.residual(h, q, kind), asm.A.data, asm.b, asm.F,
+                disc.face_fluxes(h, q, kind))
+
+    got = evaluate()
+    full_state = Discretization.cell_state
+    monkeypatch.setattr(disc, "cell_state",
+                        lambda h, need_deriv=True: full_state(disc, h))
+    ref = evaluate()
+    for g, r in zip(got, ref):
+        assert np.array_equal(g, r)
+    _, _, kr, _ = disc.cell_state(h)
+    assert 0.0 < kr.min() < 0.5 and kr.max() == 1.0  # both branches
+
+
 def fd_jacobian(disc, h, q, kind, step_scale=1e-6):
     n = len(h)
     cols = []
