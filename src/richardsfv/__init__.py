@@ -5,12 +5,12 @@ interchangeable Newton / Picard / mixed nonlinear solvers."""
 from .benchmarks import (build_dam, build_layered_slab, build_preset,
                          build_verification_linear, dam_conductivity)
 from .constitutive import (UnconfinedParams, VgmParams, continuation_kr,
-                           unconf_kr, unconf_theta, vgm_kr_of_head,
-                           vgm_kr_of_theta, vgm_theta)
+                           unconf_theta, vgm_kr_of_head, vgm_kr_of_theta,
+                           vgm_theta)
 from .continuation import (ContinuationConfig, ContinuationReport,
                            make_entries, run_continuation, sweep)
 from .discretization import (Assembly, AssemblyError, Discretization, Medium,
-                             ProblemSpec, face_kr, tpfa_transmissibilities)
+                             ProblemSpec, tpfa_transmissibilities)
 from .linalg import LinearSolveReport, SingularMatrixError, solve
 from .mesh import (Mesh2D, MeshFormatError, MeshTopologyError, build_mesh,
                    gen_cartesian, gen_triangular, read_mesh, write_mesh)

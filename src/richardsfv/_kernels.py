@@ -122,25 +122,23 @@ def continuation_apply(kf, q, kind_code, need_deriv):
     """Apply the continuation wrapper K(., q) to face permeabilities.
 
     kind_code 0 is the affine variant 1 + q*(kf - 1), kind_code 1 the
-    power variant kf**q. Returns (K, dK_dkf); the derivative array is
-    zeros when need_deriv is false. kf = 0 under the power variant maps
-    to K = 0 with zero slope (documented limit).
+    power variant kf**q. Returns (K, dK_dkf); dK_dkf is None when
+    need_deriv is false. kf = 0 under the power variant maps to K = 0
+    with zero slope (documented limit).
     """
     kf = np.asarray(kf, dtype=float)
     if q == 0.0:
-        return np.ones_like(kf), np.zeros_like(kf)
+        K = np.ones_like(kf)
+        return K, np.zeros_like(kf) if need_deriv else None
     if kind_code == 0:
         K = 1.0 + q * (kf - 1.0)
-        dK = np.full_like(kf, q) if need_deriv else np.zeros_like(kf)
-        return K, dK
+        return K, np.full_like(kf, q) if need_deriv else None
     zero = kf <= 0.0
     kf_s = np.where(zero, 1.0, kf)
     K = np.where(zero, 0.0, np.power(kf_s, q))
-    if need_deriv:
-        dK = np.where(zero, 0.0, q * np.power(kf_s, q - 1.0))
-    else:
-        dK = np.zeros_like(kf)
-    return K, dK
+    if not need_deriv:
+        return K, None
+    return K, np.where(zero, 0.0, q * np.power(kf_s, q - 1.0))
 
 
 def face_system(h, kr, dkr, kr_dir, cell_l, cell_r, ptr, col, w, g,
@@ -157,7 +155,8 @@ def face_system(h, kr, dkr, kr_dir, cell_l, cell_r, ptr, col, w, g,
     Returns
     -------
     flux0, kface, dk_l, dk_r : float arrays over faces
-        dk_l / dk_r are d(kface)/dh of the left/right cell.
+        dk_l / dk_r are d(kface)/dh of the left/right cell, None when
+        need_deriv is false.
     """
     hw = w * h[col]
     flux0 = np.add.reduceat(hw, ptr[:-1]) if len(hw) else np.zeros(0)
@@ -169,8 +168,7 @@ def face_system(h, kr, dkr, kr_dir, cell_l, cell_r, ptr, col, w, g,
     kr_r = kr[safe_r]
     if mode_code == 0:
         kf = 0.5 * (kr_l + kr_r)
-        wl = np.full(len(cell_l), 0.5)
-        wr = wl
+        wl = wr = 0.5
     else:
         h_l = h[cell_l]
         h_r = h[safe_r]
@@ -180,12 +178,10 @@ def face_system(h, kr, dkr, kr_dir, cell_l, cell_r, ptr, col, w, g,
     kf = np.where(bdry, kr_dir, kf)
 
     K, dKdkf = continuation_apply(kf, q, kind_code, need_deriv)
-    if need_deriv:
-        dk_l = np.where(bdry, 0.0, dKdkf * wl * dkr[cell_l])
-        dk_r = np.where(bdry, 0.0, dKdkf * wr * dkr[safe_r])
-    else:
-        dk_l = np.zeros(len(cell_l))
-        dk_r = dk_l
+    if not need_deriv:
+        return flux0, K, None, None
+    dk_l = np.where(bdry, 0.0, dKdkf * wl * dkr[cell_l])
+    dk_r = np.where(bdry, 0.0, dKdkf * wr * dkr[safe_r])
     return flux0, K, dk_l, dk_r
 
 

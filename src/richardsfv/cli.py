@@ -19,7 +19,7 @@ from .discretization import SCHEMES, Discretization
 from .mesh import read_mesh
 from .output import (field_snapshot, format_sweep_table, write_sweep_csv,
                      write_convergence_csv, write_report_csv, write_vtk)
-from .solvers import METHODS, SolverConfig
+from .solvers import SolverConfig
 
 __all__ = ["main"]
 
@@ -205,16 +205,9 @@ def cmd_solve(args):
     cp = _read_config(args.config)
     scheme = args.scheme or _cfg_get(cp, "problem", "scheme", "tpfa")
     _check_choice("scheme", scheme, SCHEMES)
-    method = args.solver or _cfg_get(cp, "solver", "method", None)
-    if method is not None:
-        _check_choice("solver", method, METHODS)
-    kind = args.continuation or _cfg_get(cp, "continuation", "kind", None)
-    if kind is not None:
-        _check_choice("continuation kind", kind, ("linear", "power"))
-
+    solver_cfg = _solver_config(cp, args.solver)
+    cont_cfg = _cont_config(cp, args.continuation)
     preset, spec = _build_problem(args, cp)
-    solver_cfg = _solver_config(cp, method)
-    cont_cfg = _cont_config(cp, kind)
     out = _out_dir(args, cp)
 
     disc = Discretization(spec, scheme)
@@ -249,17 +242,11 @@ def cmd_sweep(args):
     kinds = [s.strip() for s in kinds if s.strip()]
     for s in schemes:
         _check_choice("scheme", s, SCHEMES)
-    for s in solvers:
-        _check_choice("solver", s, METHODS)
-    for s in kinds:
-        _check_choice("continuation kind", s, ("linear", "power"))
-
+    entries = make_entries(schemes, solvers, kinds, _solver_config(cp),
+                           _cont_config(cp))
     preset, spec = _build_problem(args, cp)
-    solver_cfg = _solver_config(cp)
-    cont_cfg = _cont_config(cp)
     out = _out_dir(args, cp)
 
-    entries = make_entries(schemes, solvers, kinds, solver_cfg, cont_cfg)
     rows = sweep(spec, entries)
     write_sweep_csv(rows, os.path.join(out, "sweep.csv"))
     print(f"sweep of {preset}: {len(rows)} configurations")
@@ -282,10 +269,7 @@ def main(argv=None):
             return cmd_solve(args)
         if args.command == "sweep":
             return cmd_sweep(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 1

@@ -2,9 +2,11 @@
 
 Two models: the van Genuchten / Mualem retention and relative
 permeability curves, and the mesh-dependent piecewise-linear unconfined
-model where kr equals the cell saturation. Both are exposed as scalar
-functions plus vectorized per-cell evaluations used by assembly, and a
-continuation wrapper interpolating each kr toward 1.
+model where kr equals the cell saturation, and a continuation wrapper
+interpolating each kr toward 1. cell_curves is the one per-cell
+evaluation of both models; the scalar functions are calls to it (or,
+for the wrapper, to the kernel assembly uses), except vgm_kr_of_theta,
+an independent Mualem-of-theta formula.
 """
 
 import logging
@@ -23,7 +25,6 @@ __all__ = [
     "vgm_kr_of_theta",
     "vgm_kr_of_head",
     "unconf_theta",
-    "unconf_kr",
     "continuation_kr",
     "cell_curves",
 ]
@@ -95,16 +96,24 @@ class UnconfinedParams:
 ConstitutiveModel = Union[VgmParams, UnconfinedParams]
 
 
+def _pointwise(fn, *args):
+    """fn applied to args as float arrays broadcast to one shape and
+    flattened. A result of shape () (all args scalars or 0-d arrays) is
+    returned as a float, any other as an array of the broadcast shape."""
+    args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    out = fn(*(a.reshape(-1) for a in args))
+    shape = args[0].shape
+    return float(out[0]) if shape == () else out.reshape(shape)
+
+
 def vgm_theta(psi, p):
     """Water content theta(psi); saturated branch returns theta_s.
 
     Examples frozen in the tests: psi=0 gives theta_s; psi=-1 with
     (0.1, 0.4, 1, 2) gives 0.31213203435596426.
     """
-    th, _, _, _ = _kernels.vgm_curves(
-        np.atleast_1d(np.asarray(psi, dtype=float)),
-        p.theta_r, p.theta_s, p.alpha, p.n)
-    return float(th[0]) if np.isscalar(psi) else th.reshape(np.shape(psi))
+    return _pointwise(lambda psi: cell_curves(p, psi, 0.0, None, None)[0],
+                      psi)
 
 
 def vgm_kr_of_theta(theta, p):
@@ -126,10 +135,8 @@ def vgm_kr_of_theta(theta, p):
 
 def vgm_kr_of_head(h, z, p):
     """kr as a function of hydraulic head: kr(theta(h - z))."""
-    psi = np.asarray(h, dtype=float) - np.asarray(z, dtype=float)
-    _, _, kr, _ = _kernels.vgm_curves(
-        np.atleast_1d(psi), p.theta_r, p.theta_s, p.alpha, p.n, False)
-    return float(kr[0]) if psi.ndim == 0 else kr.reshape(psi.shape)
+    return _pointwise(
+        lambda h, z: cell_curves(p, h, z, None, None, False)[2], h, z)
 
 
 def unconf_theta(h, z_min, z_max, p):
@@ -139,20 +146,8 @@ def unconf_theta(h, z_min, z_max, p):
     both breakpoints; clamped at phi*alpha_phi*1e-6 below the residual
     branch (the clamp is logged when it activates).
     """
-    th, _, _, _, n_clamped = _kernels.unconf_curves(
-        np.atleast_1d(np.asarray(h, dtype=float)),
-        np.atleast_1d(np.asarray(z_min, dtype=float)),
-        np.atleast_1d(np.asarray(z_max, dtype=float)),
-        p.phi, p.alpha_phi, p.alpha_theta, UNCONF_FLOOR)
-    if n_clamped:
-        logger.warning("unconfined theta floor active in %d cells", n_clamped)
-    return float(th[0]) if np.isscalar(h) else th.reshape(np.shape(h))
-
-
-def unconf_kr(h, z_min, z_max, p):
-    """Relative permeability of the unconfined model: theta/phi."""
-    th = unconf_theta(h, z_min, z_max, p)
-    return th / p.phi
+    return _pointwise(
+        lambda h, lo, hi: cell_curves(p, h, None, lo, hi)[0], h, z_min, z_max)
 
 
 def continuation_kr(kr_value, q, kind):
@@ -162,11 +157,9 @@ def continuation_kr(kr_value, q, kind):
     at q = 0 and kr_value at q = 1. kr_value = 0 under "power" with
     q > 0 returns the limit 0.
     """
-    K, _ = _kernels.continuation_apply(
-        np.atleast_1d(np.asarray(kr_value, dtype=float)),
-        float(q), _kind_code(kind), False)
-    return float(K[0]) if np.isscalar(kr_value) else \
-        K.reshape(np.shape(kr_value))
+    code = _kind_code(kind)
+    return _pointwise(lambda kr: _kernels.continuation_apply(
+        kr, float(q), code, False)[0], kr_value)
 
 
 def _kind_code(kind):
@@ -175,14 +168,15 @@ def _kind_code(kind):
     except KeyError:
         raise ValueError(
             f"unknown continuation kind {kind!r} "
-            "(expected 'linear' or 'power')") from None
+            "(supported: linear, power)") from None
 
 
 def cell_curves(model, h, z_centroid, z_min, z_max, need_deriv=True):
     """Vectorized (theta, dtheta_dh, kr, dkr_dh) for an array of cells.
 
     VGM evaluates at psi = h - z_centroid; the unconfined model uses the
-    cell vertical extents directly. When need_deriv is false only kr is
+    cell vertical extents directly, and a clamp at its theta floor is
+    logged here, once per call. When need_deriv is false only kr is
     evaluated, and theta, dtheta_dh and dkr_dh are None.
     """
     if isinstance(model, VgmParams):

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constitutive import _kind_code
 from .discretization import Discretization
 from .solvers import CONVERGED, SolverConfig, solve_nonlinear
 
@@ -47,8 +48,7 @@ class ContinuationConfig:
     max_steps: int = 100
 
     def __post_init__(self):
-        if self.kind not in ("linear", "power"):
-            raise ValueError(f"unknown continuation kind {self.kind!r}")
+        _kind_code(self.kind)  # raises, naming the supported kinds
         if not 0.0 < self.decrease < 1.0:
             raise ValueError("decrease factor must lie in (0, 1)")
         if self.increase <= 1.0:
@@ -187,19 +187,16 @@ class SweepRow:
 
 def make_entries(schemes, solvers, kinds, base_solver_cfg=None,
                  base_cont_cfg=None):
-    """Cross product of schemes x solver methods x continuation kinds."""
-    base_solver_cfg = base_solver_cfg or SolverConfig()
-    base_cont_cfg = base_cont_cfg or ContinuationConfig()
+    """Cross product of schemes x solver methods x continuation kinds.
+    Every method and kind is validated, even with no scheme."""
     from dataclasses import replace
-    entries = []
-    for scheme in schemes:
-        for method in solvers:
-            for kind in kinds:
-                entries.append(SweepEntry(
-                    scheme=scheme, solver=method, kind=kind,
-                    solver_cfg=replace(base_solver_cfg, method=method),
-                    cont_cfg=replace(base_cont_cfg, kind=kind)))
-    return entries
+    solver_cfgs = [replace(base_solver_cfg or SolverConfig(), method=m)
+                   for m in solvers]
+    cont_cfgs = [replace(base_cont_cfg or ContinuationConfig(), kind=k)
+                 for k in kinds]
+    return [SweepEntry(scheme=scheme, solver=sc.method, kind=cc.kind,
+                       solver_cfg=sc, cont_cfg=cc)
+            for scheme in schemes for sc in solver_cfgs for cc in cont_cfgs]
 
 
 def sweep(spec, entries):

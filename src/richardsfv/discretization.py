@@ -9,7 +9,6 @@ permeability multiplying the base flux depends only on the two adjacent
 cells, via the continuation wrapper.
 """
 
-import logging
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -26,11 +25,8 @@ __all__ = [
     "Assembly",
     "AssemblyError",
     "Discretization",
-    "face_kr",
     "tpfa_transmissibilities",
 ]
-
-logger = logging.getLogger(__name__)
 
 SCHEMES = ("tpfa", "mpfa-o")
 
@@ -149,22 +145,6 @@ class SparsityPattern(NamedTuple):
     j_slot: np.ndarray  # data slots of the Jacobian's kr-derivative entries
 
 
-def face_kr(h_l, h_r, kr_l, kr_r, mode="central"):
-    """Face relative permeability from the two adjacent cells.
-
-    "central" returns the half-sum; "upwind" the value from the cell
-    with greater head, falling back to the half-sum at exact ties.
-    """
-    if mode == "central":
-        return 0.5 * (np.asarray(kr_l) + np.asarray(kr_r))
-    if mode != "upwind":
-        raise ValueError(f"unknown kr mode {mode!r}")
-    h_l, h_r = np.asarray(h_l), np.asarray(h_r)
-    return np.where(h_l > h_r, kr_l,
-                    np.where(h_l < h_r, kr_r,
-                             0.5 * (np.asarray(kr_l) + np.asarray(kr_r))))
-
-
 def tpfa_transmissibilities(spec):
     """Per-face TPFA transmissibility (m^2/day) over all mesh faces.
 
@@ -233,6 +213,37 @@ def _tpfa_stencils(spec, dir_faces, dir_vals):
     return face_ids, ptr, col, w, g
 
 
+def _by_medium(spec, cells):
+    """Per medium present among cells: (model, the positions in cells of
+    its cells, and their centroid z, z_min and z_max, as cell_curves
+    takes them)."""
+    mesh = spec.mesh
+    groups = []
+    for mi, medium in enumerate(spec.media):
+        ids = np.nonzero(spec.cell_medium[cells] == mi)[0]
+        if len(ids):
+            c = cells[ids]
+            groups.append((medium.model, ids, mesh.cell_centroid[c, 1],
+                           mesh.cell_zmin[c], mesh.cell_zmax[c]))
+    return groups
+
+
+def _curves(groups, h, need_deriv):
+    """(theta, dtheta, kr, dkr) of the cells the groups cover, at heads
+    h given in their order, by one cell_curves call per medium. When
+    need_deriv is false theta, dtheta and dkr are None."""
+    n = len(h)
+    kr = np.empty(n)
+    theta, dtheta, dkr = (np.empty(n), np.empty(n), np.empty(n)) \
+        if need_deriv else (None, None, None)
+    for model, ids, *geometry in groups:
+        th, dth, kr[ids], dk = cell_curves(model, h[ids], *geometry,
+                                           need_deriv)
+        if need_deriv:
+            theta[ids], dtheta[ids], dkr[ids] = th, dth, dk
+    return theta, dtheta, kr, dkr
+
+
 class Discretization:
     """Precomputed flux stencils plus assembly entry points.
 
@@ -278,16 +289,10 @@ class Discretization:
         at = np.nonzero(self.cell_r < 0)[0]
         h_dir = self.dir_vals[np.searchsorted(self.dir_faces,
                                               self.face_ids[at])]
-        cells = self.cell_l[at]
-        for mi, medium in enumerate(spec.media):
-            sel = spec.cell_medium[cells] == mi
-            if sel.any():
-                c = cells[sel]
-                self.kr_dir[at[sel]] = cell_curves(
-                    medium.model, h_dir[sel], mesh.cell_centroid[c, 1],
-                    mesh.cell_zmin[c], mesh.cell_zmax[c], False)[2]
+        self.kr_dir[at] = _curves(_by_medium(spec, self.cell_l[at]), h_dir,
+                                  False)[2]
 
-        self._group_media()
+        self.groups = _by_medium(spec, np.arange(self.n_cells))
         self.mode_code = {"central": 0, "upwind": 1}[spec.kr_mode]
 
     @cached_property
@@ -334,34 +339,13 @@ class Discretization:
         return np.bincount(pat.a_slot, pat.sign_w * K[pat.a_face],
                            minlength=len(pat.indices))
 
-    def _group_media(self):
-        mesh = self.spec.mesh
-        self.groups = []
-        for mi, medium in enumerate(self.spec.media):
-            ids = np.nonzero(self.spec.cell_medium == mi)[0]
-            if len(ids):
-                self.groups.append((medium.model, ids))
-        self.z_c = mesh.cell_centroid[:, 1].copy()
-        self.z_min = mesh.cell_zmin
-        self.z_max = mesh.cell_zmax
-
     # -- per-state evaluations ------------------------------------------
 
     def cell_state(self, h, need_deriv=True):
         """Vectorized (theta, dtheta, kr, dkr) over all cells. When
         need_deriv is false only kr is evaluated, and theta, dtheta and
         dkr are None."""
-        n = self.n_cells
-        kr = np.empty(n)
-        theta, dtheta, dkr = (np.empty(n), np.empty(n), np.empty(n)) \
-            if need_deriv else (None, None, None)
-        for model, ids in self.groups:
-            th, dth, kr[ids], dk = cell_curves(
-                model, h[ids], self.z_c[ids],
-                self.z_min[ids], self.z_max[ids], need_deriv)
-            if need_deriv:
-                theta[ids], dtheta[ids], dkr[ids] = th, dth, dk
-        return theta, dtheta, kr, dkr
+        return _curves(self.groups, h, need_deriv)
 
     def _face_system(self, h, q, kind, need_deriv):
         _, _, kr, dkr = self.cell_state(h, need_deriv)
@@ -370,11 +354,15 @@ class Discretization:
             self.ptr, self.col, self.w, self.g,
             float(q), _kind_code(kind), self.mode_code, need_deriv)
 
+    def _residual(self, flux0, K):
+        """F = A h - b from the face base fluxes and permeabilities."""
+        return _kernels.scatter_faces(
+            K * flux0, self.cell_l, self.cell_r, self.n_cells) - self.b_base
+
     def residual(self, h, q, kind):
         """F(h) assembled directly (used by line-search trials)."""
         flux0, K, _, _ = self._face_system(h, q, kind, False)
-        return _kernels.scatter_faces(
-            K * flux0, self.cell_l, self.cell_r, self.n_cells) - self.b_base
+        return self._residual(flux0, K)
 
     def assemble(self, h, q, kind):
         """Picard matrix A(h), right-hand side b(h), and F = A h - b."""
@@ -382,9 +370,7 @@ class Discretization:
         A = self._matrix(self._a_data(K))
         b = self.b_base - _kernels.scatter_faces(
             K * self.g, self.cell_l, self.cell_r, self.n_cells)
-        F = _kernels.scatter_faces(
-            K * flux0, self.cell_l, self.cell_r, self.n_cells) - self.b_base
-        return Assembly(A=A, b=b, F=F)
+        return Assembly(A=A, b=b, F=self._residual(flux0, K))
 
     def assemble_jacobian(self, h, q, kind, with_residual=False):
         """Exact Jacobian of F at h: A plus the permeability-derivative
@@ -401,10 +387,7 @@ class Discretization:
                 minlength=len(data))
         J = self._matrix(data)
         if with_residual:
-            F = _kernels.scatter_faces(
-                K * flux0, self.cell_l, self.cell_r, self.n_cells) \
-                - self.b_base
-            return J, F
+            return J, self._residual(flux0, K)
         return J
 
     def face_fluxes(self, h, q, kind):
@@ -424,4 +407,4 @@ class Discretization:
         flux = self.face_fluxes(h, q, kind)
         rhs = self.spec.source_per_cell() * mesh.cell_area
         return np.add.reduceat(flux[mesh.cf_face] * mesh.cf_sign,
-                               mesh.cf_ptr[:-1]) - rhs
+                               mesh.cell_ptr[:-1]) - rhs

@@ -55,9 +55,11 @@ class Mesh2D:
     face_length, face_midpoint : float arrays
     face_tag : (nf,) object array
         Boundary tag name per boundary face, None on interior faces.
-    cf_ptr, cf_face, cf_sign : int arrays
-        CSR cell-to-face adjacency; sign is +1 where the cell is the
-        first adjacent cell of the face, -1 otherwise.
+    cf_face, cf_sign : int arrays
+        Cell-to-face adjacency, laid out by cell_ptr (a cell has as many
+        faces as vertices, face k joining vertices k and k+1 of its
+        loop); sign is +1 where the cell is the first adjacent cell of
+        the face, -1 otherwise.
     """
 
     vertices: np.ndarray
@@ -73,9 +75,8 @@ class Mesh2D:
     face_length: np.ndarray
     face_midpoint: np.ndarray
     face_tag: np.ndarray
-    cf_ptr: np.ndarray = field(repr=False, default=None)
-    cf_face: np.ndarray = field(repr=False, default=None)
-    cf_sign: np.ndarray = field(repr=False, default=None)
+    cf_face: np.ndarray = field(repr=False)
+    cf_sign: np.ndarray = field(repr=False)
 
     @property
     def n_cells(self):
@@ -103,7 +104,7 @@ class Mesh2D:
 
     def faces_of_cell(self, c):
         """(face ids, orientation signs) of cell ``c``."""
-        sl = slice(self.cf_ptr[c], self.cf_ptr[c + 1])
+        sl = slice(self.cell_ptr[c], self.cell_ptr[c + 1])
         return self.cf_face[sl], self.cf_sign[sl]
 
     def tag_names(self):
@@ -275,7 +276,6 @@ def build_mesh(vertices, cells, tag_edges=None, default_tag="boundary"):
         face_length=face_length,
         face_midpoint=face_midpoint,
         face_tag=face_tag,
-        cf_ptr=cell_ptr.copy(),
         cf_face=cf_face,
         cf_sign=cf_sign,
     )
@@ -291,7 +291,7 @@ def _check_closure(mesh):
     """Assert the closed-polygon identity sum(n * L) = 0 per cell."""
     nl = mesh.face_normal * mesh.face_length[:, None]
     acc = np.add.reduceat(nl[mesh.cf_face] * mesh.cf_sign[:, None],
-                          mesh.cf_ptr[:-1], axis=0)
+                          mesh.cell_ptr[:-1], axis=0)
     scale = np.sqrt(mesh.cell_area)
     bad = np.abs(acc).max(axis=1) > 1e-10 * np.maximum(scale, 1.0)
     if bad.any():
@@ -304,19 +304,8 @@ def gen_cartesian(nx, nz, width, height):
 
     Boundary faces are tagged left / right / bottom / top.
     """
-    _check_gen_args(nx, nz, width, height)
-    verts = _rect_vertices(nx, nz, width, height)
-
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    cells = []
-    for j in range(nz):
-        for i in range(nx):
-            cells.append([vid(i, j), vid(i + 1, j),
-                          vid(i + 1, j + 1), vid(i, j + 1)])
-    tag_edges = _rect_boundary_tags(nx, nz, vid)
-    return build_mesh(verts, cells, tag_edges)
+    return _gen_rect(nx, nz, width, height,
+                     lambda i, j, sw, se, ne, nw: [[sw, se, ne, nw]])
 
 
 def gen_triangular(nx, nz, width, height):
@@ -325,43 +314,34 @@ def gen_triangular(nx, nz, width, height):
     Diagonal direction alternates in a checkerboard pattern to avoid a
     directional bias; 2*nx*nz triangles total.
     """
-    _check_gen_args(nx, nz, width, height)
-    verts = _rect_vertices(nx, nz, width, height)
+    def split(i, j, sw, se, ne, nw):
+        if (i + j) % 2 == 0:  # diagonal sw-ne
+            return [[sw, se, ne], [sw, ne, nw]]
+        return [[sw, se, nw], [se, ne, nw]]  # diagonal se-nw
 
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    cells = []
-    for j in range(nz):
-        for i in range(nx):
-            sw, se = vid(i, j), vid(i + 1, j)
-            ne, nw = vid(i + 1, j + 1), vid(i, j + 1)
-            if (i + j) % 2 == 0:  # diagonal sw-ne
-                cells.append([sw, se, ne])
-                cells.append([sw, ne, nw])
-            else:  # diagonal se-nw
-                cells.append([sw, se, nw])
-                cells.append([se, ne, nw])
-    tag_edges = _rect_boundary_tags(nx, nz, vid)
-    return build_mesh(verts, cells, tag_edges)
+    return _gen_rect(nx, nz, width, height, split)
 
 
-def _rect_vertices(nx, nz, width, height):
-    xs = np.linspace(0.0, width, nx + 1)
-    zs = np.linspace(0.0, height, nz + 1)
-    xx, zz = np.meshgrid(xs, zs)  # row j, column i -> id j*(nx+1)+i
-    return np.column_stack([xx.ravel(), zz.ravel()])
-
-
-def _check_gen_args(nx, nz, width, height):
+def _gen_rect(nx, nz, width, height, split):
+    """The nx-by-nz grid of squares on [0, width] x [0, height], square
+    (i, j) with corner vertices sw, se, ne, nw becoming the cells
+    split(i, j, sw, se, ne, nw). Vertex (i, j) has id j*(nx+1) + i;
+    boundary faces are tagged left / right / bottom / top."""
     if nx < 1 or nz < 1:
         raise ValueError(f"grid dimensions must be >= 1, got {nx}x{nz}")
     if width <= 0 or height <= 0:
         raise ValueError(
             f"domain dimensions must be positive, got {width}x{height}")
+    xx, zz = np.meshgrid(np.linspace(0.0, width, nx + 1),
+                         np.linspace(0.0, height, nz + 1))
+    verts = np.column_stack([xx.ravel(), zz.ravel()])
 
+    def vid(i, j):
+        return j * (nx + 1) + i
 
-def _rect_boundary_tags(nx, nz, vid):
+    cells = [cell for j in range(nz) for i in range(nx)
+             for cell in split(i, j, vid(i, j), vid(i + 1, j),
+                               vid(i + 1, j + 1), vid(i, j + 1))]
     tags = {}
     for i in range(nx):
         tags[(vid(i, 0), vid(i + 1, 0))] = "bottom"
@@ -369,7 +349,7 @@ def _rect_boundary_tags(nx, nz, vid):
     for j in range(nz):
         tags[(vid(0, j), vid(0, j + 1))] = "left"
         tags[(vid(nx, j), vid(nx, j + 1))] = "right"
-    return tags
+    return build_mesh(verts, cells, tags)
 
 
 def write_mesh(mesh, path):

@@ -48,7 +48,7 @@ def field_snapshot(disc, h):
     spec = disc.spec
     theta, _, kr, _ = disc.cell_state(h)
     sat = np.empty_like(theta)
-    for model, ids in disc.groups:
+    for model, ids, *_ in disc.groups:
         if isinstance(model, VgmParams):
             sat[ids] = (theta[ids] - model.theta_r) / \
                 (model.theta_s - model.theta_r)

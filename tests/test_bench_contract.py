@@ -7,6 +7,7 @@ them fails here instead of only when the benchmark runs.
 
 import importlib
 import importlib.util
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,14 +19,22 @@ import richardsfv
 from richardsfv import _kernels, _mpfa, build_dam, linalg
 from richardsfv.continuation import ContinuationConfig, run_continuation
 from richardsfv.discretization import Discretization
+from richardsfv.mesh import Mesh2D, build_mesh, gen_cartesian, gen_triangular
 from richardsfv.solvers import SolverConfig
 
 # loaded from its file, so that perfbench/ need not be on sys.path
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_tracing", _PERFBENCH / "tracing.py")
-tracing = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracing)
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _load("tracing")
 
 
 def test_every_trace_target_resolves():
@@ -100,3 +109,15 @@ def test_worker_reads_disc_and_runs_continuation(scheme):
     _, report = run_continuation(disc, SolverConfig(method="newton"),
                                  ContinuationConfig(kind="power"))
     assert report.success and report.total_iterations > 0
+
+
+@pytest.mark.parametrize("grid, gen", [("cartesian", gen_cartesian),
+                                       ("triangular", gen_triangular)])
+def test_workload_grids_are_the_generators(grid, gen):
+    # workloads.py promises that seed 0 keeps the generators' numbering
+    mi = _load("workloads").generate(grid, 7, 5)
+    got = build_mesh(mi.vertices, mi.cells, mi.tag_edges)
+    want = gen(7, 5, 10.0, 10.0)
+    for fld in fields(Mesh2D):
+        assert np.array_equal(getattr(got, fld.name),
+                              getattr(want, fld.name)), fld.name

@@ -64,6 +64,7 @@ def test_unknown_preset_exit_1(capsys):
 def test_bad_solver_exit_1(capsys):
     rc = run_cli("solve", "--preset", "dam-unconfined", "--solver", "bfgs")
     assert rc == 1
+    assert "'bfgs'" in capsys.readouterr().err
 
 
 def test_config_file_drives_solve(tmp_path):
@@ -193,6 +194,17 @@ def test_sweep_bad_kind_exit_1(capsys):
     rc = run_cli("sweep", "--preset", "dam-unconfined",
                  "--kinds", "cubic")
     assert rc == 1
+    assert "'cubic'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("solve", "--solver", "bfgs"),
+                                  ("solve", "--continuation", "cubic"),
+                                  ("sweep", "--solvers", "newton,bfgs"),
+                                  ("sweep", "--kinds", "cubic")])
+def test_bad_choice_fails_before_output_dir(tmp_path, argv):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert not out.exists()
 
 
 def test_no_command_shows_help(capsys):

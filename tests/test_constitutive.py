@@ -4,11 +4,14 @@ Frozen expected values were computed independently with 40-digit mpmath
 evaluations of the closed forms.
 """
 
+import logging
+
 import numpy as np
 import pytest
 
+from richardsfv import _kernels
 from richardsfv.constitutive import (UnconfinedParams, VgmParams,
-                                     continuation_kr, unconf_kr,
+                                     cell_curves, continuation_kr,
                                      unconf_theta, vgm_kr_of_head,
                                      vgm_kr_of_theta, vgm_theta)
 
@@ -142,11 +145,22 @@ def test_unconf_theta_monotone_and_below_breakpoint_fraction():
 
 
 def test_unconf_kr_values():
-    assert unconf_kr(5.0, 0.0, 1.0, U_REF) == pytest.approx(1.0)
-    assert unconf_kr(0.5, 0.0, 1.0, U_REF) == pytest.approx(0.5)
-    h_r = U_REF.alpha_phi
-    assert unconf_kr(h_r, 0.0, 1.0, U_REF) == pytest.approx(
-        U_REF.alpha_phi, rel=1e-12)
+    # kr = theta/phi: saturated, mid-cell, and at h_r = alpha_phi
+    h = np.array([5.0, 0.5, U_REF.alpha_phi])
+    kr = cell_curves(U_REF, h, None, np.zeros(3), np.ones(3))[2]
+    for i, (v, expect) in enumerate(zip(h, [1.0, 0.5, U_REF.alpha_phi])):
+        assert unconf_theta(v, 0.0, 1.0, U_REF) / U_REF.phi == \
+            pytest.approx(expect, rel=1e-12)
+        assert kr[i] == pytest.approx(expect, rel=1e-12)
+
+
+def test_unconf_clamp_logged_once(caplog):
+    # two cells below the floor, one above: one warning naming two cells
+    h = np.array([-1e9, -2e9, 0.5])
+    with caplog.at_level(logging.WARNING, logger="richardsfv.constitutive"):
+        unconf_theta(h, 0.0, 1.0, U_REF)
+    assert [r.getMessage() for r in caplog.records] == \
+        ["unconfined theta floor active in 2 cells"]
 
 
 # -- continuation wrapper ----------------------------------------------
@@ -272,7 +286,6 @@ VGM_BRANCHES = {
 @pytest.mark.parametrize("branch", sorted(VGM_BRANCHES))
 @pytest.mark.parametrize("n", [1.2, 2.0])
 def test_vgm_kr_alone_is_bitwise_the_full_kr(n, branch):
-    from richardsfv import _kernels
     p = VgmParams(0.05, 0.4, 1.3, n)
     psi = VGM_BRANCHES[branch]
     args = (psi, p.theta_r, p.theta_s, p.alpha, p.n)
@@ -296,7 +309,6 @@ def test_vgm_kr_alone_is_bitwise_the_full_kr(n, branch):
 
 
 def test_unconf_kr_alone_is_bitwise_the_full_kr():
-    from richardsfv import _kernels
     z_min, z_max = np.zeros(60), np.full(60, 3.0)
     # all three branches and the clamp below the third
     h = np.linspace(-40.0, 5.0, 60)
@@ -307,3 +319,61 @@ def test_unconf_kr_alone_is_bitwise_the_full_kr():
     assert n_alone == n_full > 0
     assert alone[0] is None and alone[1] is None and alone[3] is None
     assert np.array_equal(alone[2], full[2])
+
+
+# -- the scalar API is the per-cell evaluation ----------------------------
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _assert_pointwise(f, args, expect):
+    """f(*args) is expect bit for bit, in the shape of the args; on the
+    i-th entries, given as floats or as 0-d arrays, it is the float
+    expect[i] (the pinned rule: a result of shape () is a float)."""
+    got = f(*args)
+    assert got.shape == expect.shape
+    assert np.array_equal(_bits(got), _bits(expect))
+    got = f(*(a.reshape(1, -1) for a in args))
+    assert np.array_equal(_bits(got), _bits(expect.reshape(1, -1)))
+    for i in range(len(expect)):
+        for wrap in (float, np.asarray):
+            v = f(*(wrap(a[i]) for a in args))
+            assert type(v) is float and _bits(v) == _bits(expect[i])
+
+
+@pytest.mark.parametrize("n", [1.2, 2.0])
+def test_vgm_scalar_api_is_cell_curves(n):
+    p = VgmParams(0.05, 0.4, 1.3, n)
+    psi = np.concatenate([VGM_BRANCHES[b] for b in sorted(VGM_BRANCHES)])
+    z = np.linspace(-3.0, 3.0, len(psi))
+    h = psi + z
+    _assert_pointwise(lambda psi: vgm_theta(psi, p), (psi,),
+                      cell_curves(p, psi, np.zeros_like(psi), None, None)[0])
+    _assert_pointwise(lambda h, z: vgm_kr_of_head(h, z, p), (h, z),
+                      cell_curves(p, h, z, None, None)[2])
+
+
+def test_unconf_scalar_api_is_cell_curves():
+    h = np.linspace(-40.0, 5.0, 60)  # all three branches and the clamp
+    z_min = np.linspace(-1.0, 0.0, 60)
+    z_max = z_min + 3.0
+    _assert_pointwise(lambda *a: unconf_theta(*a, U_REF), (h, z_min, z_max),
+                      cell_curves(U_REF, h, None, z_min, z_max)[0])
+
+
+@pytest.mark.parametrize("kind, code", [("linear", 0), ("power", 1)])
+@pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
+def test_continuation_kr_is_continuation_apply(kind, code, q):
+    kr = np.array([0.0, 1e-300, 1e-6, 0.2, 0.5, 1.0])
+    _assert_pointwise(lambda kr: continuation_kr(kr, q, kind), (kr,),
+                      _kernels.continuation_apply(kr, q, code, False)[0])
+
+
+def test_no_derivative_unless_asked():
+    kr = np.array([0.0, 0.2, 1.0])
+    for code in (0, 1):
+        for q in (0.0, 0.5):
+            assert _kernels.continuation_apply(kr, q, code, False)[1] is None
+            assert _kernels.continuation_apply(kr, q, code, True)[1] \
+                is not None

@@ -216,6 +216,13 @@ def test_sweep_empty():
     assert sweep(spec, []) == []
 
 
+@pytest.mark.parametrize("solvers, kinds", [(["bfgs"], ["linear"]),
+                                            (["newton"], ["cubic"])])
+def test_make_entries_validates_without_schemes(solvers, kinds):
+    with pytest.raises(ValueError, match="bfgs|cubic"):
+        make_entries([], solvers, kinds)
+
+
 def test_sweep_failures_are_rows(monkeypatch):
     # impossible tolerance in 1 iteration: everything fails but runs
     spec = build_dam("unconfined", "cartesian:4x4")

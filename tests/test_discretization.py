@@ -1,19 +1,20 @@
 """Assembly: TPFA/MPFA-O stencils, residual/Jacobian consistency,
 matrix structure, scheme exactness properties."""
 
+import logging
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sps
 
-from richardsfv import _mpfa
+from richardsfv import _kernels, _mpfa
 from richardsfv.benchmarks import (build_dam, build_layered_slab,
                                    build_verification_linear,
                                    dam_conductivity)
 from richardsfv.constitutive import UnconfinedParams, VgmParams
 from richardsfv.discretization import (AssemblyError, Discretization, Medium,
-                                       ProblemSpec, _boundary_kinds, face_kr,
+                                       ProblemSpec, _boundary_kinds,
                                        tpfa_transmissibilities)
 from richardsfv.linalg import solve
 from richardsfv.mesh import build_mesh, gen_cartesian, gen_triangular
@@ -338,22 +339,69 @@ def test_mpfa_ill_conditioned_system_names_vertex(n_media, vertex):
 
 # -- face permeability ---------------------------------------------------
 
+# Four faces over cells with heads 5, 3, 4, 4, kr 0.2, 0.4, 0.6, 0.8 and
+# dkr/dh 0.5: cell 0 -> 1, cell 1 -> 0 (the higher head on the right),
+# the tie 2 -> 3, and a Dirichlet face of cell 1 with boundary kr 0.9.
+FACE_L = np.array([0, 1, 2, 1])
+FACE_R = np.array([1, 0, 3, -1])
+
+
+def four_faces(mode_code, need_deriv=True):
+    """(K, dK/dh_l, dK/dh_r) of the four faces from face_system at q = 1
+    under the power wrapper, where K is the face kr itself."""
+    n = len(FACE_L)
+    return _kernels.face_system(
+        np.array([5.0, 3.0, 4.0, 4.0]), np.array([0.2, 0.4, 0.6, 0.8]),
+        np.full(4, 0.5), np.array([0.0, 0.0, 0.0, 0.9]), FACE_L, FACE_R,
+        np.arange(n + 1), FACE_L, np.ones(n), np.zeros(n), 1.0, 1,
+        mode_code, need_deriv)[1:]
+
+
 def test_face_kr_central():
-    assert face_kr(5.0, 3.0, 0.2, 0.4, "central") == pytest.approx(0.3)
+    K, dk_l, dk_r = four_faces(0)
+    assert K[:3] == pytest.approx([0.3, 0.3, 0.7])
+    assert (dk_l[:3] == 0.25).all() and (dk_r[:3] == 0.25).all()
 
 
 def test_face_kr_upwind():
-    assert face_kr(5.0, 3.0, 0.2, 0.4, "upwind") == pytest.approx(0.2)
-    assert face_kr(3.0, 5.0, 0.2, 0.4, "upwind") == pytest.approx(0.4)
+    K, dk_l, dk_r = four_faces(1)
+    assert K[:2] == pytest.approx([0.2, 0.2])  # cell 0 both times
+    assert list(dk_l[:2]) == [0.5, 0.0] and list(dk_r[:2]) == [0.0, 0.5]
 
 
 def test_face_kr_upwind_tie_is_central():
-    assert face_kr(4.0, 4.0, 0.2, 0.4, "upwind") == pytest.approx(0.3)
+    K, dk_l, dk_r = four_faces(1)
+    assert K[2] == pytest.approx(0.7)
+    assert dk_l[2] == dk_r[2] == 0.25
+
+
+@pytest.mark.parametrize("mode_code", [0, 1])
+def test_face_kr_dirichlet_face(mode_code):
+    K, dk_l, dk_r = four_faces(mode_code)
+    assert K[3] == 0.9
+    assert dk_l[3] == dk_r[3] == 0.0
+    K_alone, dk_l, dk_r = four_faces(mode_code, need_deriv=False)
+    assert np.array_equal(K_alone, K)
+    assert dk_l is None and dk_r is None
 
 
 def test_face_kr_bad_mode():
-    with pytest.raises(ValueError):
-        face_kr(1.0, 1.0, 0.5, 0.5, "midpoint")
+    with pytest.raises(ValueError, match="midpoint"):
+        replace(two_cell_spec(), kr_mode="midpoint")
+
+
+def test_unconf_clamp_logged_once_per_state(caplog):
+    spec = build_dam("unconfined", "cartesian:4x4")
+    disc = Discretization(spec, "tpfa")
+    h = np.full(disc.n_cells, 6.0)
+    h[:3] = -1e9  # three cells below the theta floor
+    for need_deriv in (True, False):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING,
+                             logger="richardsfv.constitutive"):
+            disc.cell_state(h, need_deriv)
+        assert [r.getMessage() for r in caplog.records] == \
+            ["unconfined theta floor active in 3 cells"]
 
 
 # -- assembly consistency ------------------------------------------------

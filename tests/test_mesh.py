@@ -344,8 +344,6 @@ def _loop_build_mesh(vertices, cells, tag_edges=None, default_tag="boundary"):
         if key not in seen:
             raise MeshTopologyError(
                 f"boundary tag on edge {key} which is not a boundary face")
-    cf_ptr = np.zeros(n_cells + 1, dtype=np.int64)
-    cf_ptr[1:] = np.cumsum([len(x) for x in cf_face_l])
     return Mesh2D(
         vertices=vertices, cell_ptr=cell_ptr, cell_vert=cell_vert,
         cell_centroid=centroid, cell_area=area, cell_zmin=zmin,
@@ -353,7 +351,7 @@ def _loop_build_mesh(vertices, cells, tag_edges=None, default_tag="boundary"):
         face_normal=np.array(fn, dtype=float),
         face_length=np.array(flen, dtype=float),
         face_midpoint=np.array(fmid, dtype=float), face_tag=face_tag,
-        cf_ptr=cf_ptr, cf_face=np.concatenate(cf_face_l),
+        cf_face=np.concatenate(cf_face_l),
         cf_sign=np.concatenate(cf_sign_l))
 
 

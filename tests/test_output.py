@@ -172,8 +172,8 @@ def test_dam_converged_field_bounds():
     snap = field_snapshot(disc, h)
     model = spec.media[0].model
     floor = model.alpha_phi * UNCONF_FLOOR * (1.0 + 1e-9)  # round-off
-    bound = unconf_theta(np.full(disc.n_cells, h_lo), disc.z_min,
-                         disc.z_max, model) / model.phi
+    bound = unconf_theta(np.full(disc.n_cells, h_lo), spec.mesh.cell_zmin,
+                         spec.mesh.cell_zmax, model) / model.phi
     assert bound.min() > floor
     assert (snap.saturation >= bound * (1.0 - 1e-9)).all()
     assert (snap.saturation > floor).all()
