@@ -13,6 +13,7 @@ call.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -193,20 +194,22 @@ def build_layered_slab(mesh="400", kr_mode="central",
     )
 
 
+# Each preset name and its builder, called as builder(mesh, kr_mode).
+PRESETS = {
+    "dam-unconfined": partial(build_dam, "unconfined"),
+    "dam-vgm": partial(build_dam, "vgm"),
+    "layered-slab": build_layered_slab,
+    "verify-linear": lambda mesh, _: build_verification_linear(mesh)[0],
+}
+
+
 def preset_names():
-    return ("dam-unconfined", "dam-vgm", "layered-slab", "verify-linear")
+    return tuple(PRESETS)
 
 
 def build_preset(name, mesh="400", kr_mode="central"):
     """CLI-facing preset dispatch; returns a ProblemSpec."""
-    if name == "dam-unconfined":
-        return build_dam("unconfined", mesh, kr_mode)
-    if name == "dam-vgm":
-        return build_dam("vgm", mesh, kr_mode)
-    if name == "layered-slab":
-        return build_layered_slab(mesh, kr_mode)
-    if name == "verify-linear":
-        spec, _ = build_verification_linear(mesh)
-        return spec
-    raise ValueError(
-        f"unknown preset {name!r} (available: {', '.join(preset_names())})")
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r} "
+                         f"(available: {', '.join(preset_names())})")
+    return PRESETS[name](mesh, kr_mode)

@@ -19,7 +19,7 @@ from .discretization import SCHEMES, Discretization
 from .mesh import read_mesh
 from .output import (field_snapshot, format_sweep_table, write_sweep_csv,
                      write_convergence_csv, write_report_csv, write_vtk)
-from .solvers import SolverConfig
+from .solvers import LineSearchConfig, SolverConfig, WarmupConfig
 
 __all__ = ["main"]
 
@@ -28,16 +28,31 @@ class UsageError(Exception):
     """Configuration or argument problem (exit code 1)."""
 
 
-# Config sections and the keys each accepts; None marks a section whose
-# keys are the fields of its config dataclass (checked in _section_into).
-CONFIG_KEYS = {
-    "problem": ("preset", "mesh", "mode", "scheme"),
-    "solver": None,
-    "line_search": None,
-    "warmup": None,
-    "continuation": None,
-    "output": ("dir",),
-    "sweep": ("schemes", "solvers", "kinds"),
+# Each config section and its defaults: its config dataclass, whose
+# fields are the section's keys, or a dict of string keys.
+SECTIONS = {
+    "problem": {"preset": "dam-unconfined", "mesh": "400",
+                "mode": "central", "scheme": "tpfa"},
+    "solver": SolverConfig(),
+    "line_search": LineSearchConfig(),
+    "warmup": WarmupConfig(),
+    "continuation": ContinuationConfig(),
+    "output": {"dir": "out"},
+    "sweep": {"schemes": "tpfa,mpfa-o", "solvers": "newton,picard,mixed",
+              "kinds": "linear,power"},
+}
+
+# Each command-line option and the (section, key) it writes over.
+OPTIONS = {
+    "preset": ("problem", "preset"),
+    "mesh": ("problem", "mesh"),
+    "scheme": ("problem", "scheme"),
+    "solver": ("solver", "method"),
+    "continuation": ("continuation", "kind"),
+    "out": ("output", "dir"),
+    "schemes": ("sweep", "schemes"),
+    "solvers": ("sweep", "solvers"),
+    "kinds": ("sweep", "kinds"),
 }
 
 
@@ -69,123 +84,104 @@ def _build_parser():
 
     pw = sub.add_parser("sweep", parents=[common],
                         help="run a scheme x solver x kind comparison")
-    pw.add_argument("--schemes", help="comma list (default tpfa,mpfa-o)")
-    pw.add_argument("--solvers", help="comma list (default "
-                                      "newton,picard,mixed)")
-    pw.add_argument("--kinds", help="comma list (default linear,power)")
+    for option, default in SECTIONS["sweep"].items():
+        pw.add_argument(f"--{option}", help=f"comma list (default {default})")
     return p
 
 
-def _read_config(path):
-    if path is None:
-        return configparser.ConfigParser()
-    if not os.path.exists(path):
-        raise UsageError(f"config file not found: {path}")
-    cp = configparser.ConfigParser()
-    try:
-        cp.read(path)
-    except configparser.Error as exc:
-        raise UsageError(f"cannot parse config {path}: {exc}") from None
+def _read_config(path, args=None):
+    """The run's configuration: the INI file at `path`, if any, with each
+    non-empty option of `args` written over its key (OPTIONS). Values
+    are literal. Every section's keys are checked against SECTIONS;
+    `cp.from_options` holds the (section, key) pairs an option set."""
+    cp = configparser.ConfigParser(interpolation=None)
+    if path is not None:
+        if not os.path.exists(path):
+            raise UsageError(f"config file not found: {path}")
+        try:
+            cp.read(path)
+        except configparser.Error as exc:
+            raise UsageError(f"cannot parse config {path}: {exc}") from None
     for section in cp.sections():
-        if section not in CONFIG_KEYS:
+        if section not in SECTIONS:
             raise UsageError(
                 f"config has unknown section [{section}] (known: "
-                f"{', '.join(f'[{s}]' for s in CONFIG_KEYS)})")
-        keys = CONFIG_KEYS[section]
+                f"{', '.join(f'[{s}]' for s in SECTIONS)})")
+        defaults = SECTIONS[section]
+        keys = defaults if isinstance(defaults, dict) else \
+            {f.name for f in fields(defaults)}
         for key in cp.options(section):
-            if keys is not None and key not in keys:
+            if key not in keys:
                 raise UsageError(
                     f"config [{section}] has unknown key {key!r}")
+    cp.from_options = set()
+    for option, (section, key) in OPTIONS.items():
+        value = getattr(args, option, None)
+        if value:
+            if not cp.has_section(section):
+                cp.add_section(section)
+            cp.set(section, key, value)
+            cp.from_options.add((section, key))
     return cp
 
 
-def _cfg_get(cp, section, key, fallback=None):
-    if cp.has_option(section, key):
-        return cp.get(section, key)
-    return fallback
-
-
-def _typed(section, key, raw, typ):
-    try:
-        return typ(raw)
-    except ValueError:
-        raise UsageError(
-            f"config [{section}] {key} = {raw!r} is not a valid "
-            f"{typ.__name__}") from None
-
-
-def _section_into(cp, section, defaults):
-    """Overlay config values onto a dataclass instance, type-checked
-    against the field defaults. A key naming a nested config (warmup,
-    line_search) is rejected: its fields belong in their own section."""
-    if not cp.has_section(section):
-        return defaults
-    names = {f.name for f in fields(defaults)}
-    updates = {}
-    for key in cp.options(section):
-        if key not in names:
-            raise UsageError(
-                f"config [{section}] has unknown key {key!r}")
-        cur = getattr(defaults, key)
+def _section_into(cp, section):
+    """The defaults of `section` in SECTIONS with the config's values
+    over them. A dataclass section's values are typed as its field
+    defaults, and a key naming a nested config (warmup, line_search) is
+    rejected: its fields belong in their own section. The file's values
+    are validated before the options', so that an invalid one is blamed
+    on the file."""
+    cfg = SECTIONS[section]
+    values = cp[section] if cp.has_section(section) else {}
+    if isinstance(cfg, dict):
+        return {**cfg, **values}
+    from_file, from_options = {}, {}
+    for key, raw in values.items():
+        cur = getattr(cfg, key)
         if not isinstance(cur, (int, float, str)):
             raise UsageError(
                 f"config [{section}] {key} is a section of its own; "
                 f"set its fields under [{key}]")
-        updates[key] = _typed(section, key, cp.get(section, key), type(cur))
+        try:
+            value = type(cur)(raw)
+        except ValueError:
+            raise UsageError(
+                f"config [{section}] {key} = {raw!r} is not a valid "
+                f"{type(cur).__name__}") from None
+        if (section, key) in cp.from_options:
+            from_options[key] = value
+        else:
+            from_file[key] = value
     try:
-        return replace(defaults, **updates)
+        cfg = replace(cfg, **from_file)
     except ValueError as exc:
         raise UsageError(f"config [{section}]: {exc}") from None
+    return replace(cfg, **from_options)
 
 
-def _resolve_mesh(mesh_arg):
-    if mesh_arg is None:
-        return "400"
-    if os.path.sep in mesh_arg or os.path.exists(mesh_arg):
+def _build_problem(cp):
+    """(preset name, ProblemSpec) of the [problem] section; a mesh that
+    names a file is read from it."""
+    problem = _section_into(cp, "problem")
+    mesh = problem["mesh"]
+    if os.path.sep in mesh or os.path.exists(mesh):
         try:
-            return read_mesh(mesh_arg)
+            mesh = read_mesh(mesh)
         except OSError as exc:
             raise UsageError(f"cannot read mesh file: {exc}") from None
-    return mesh_arg
+    return problem["preset"], build_preset(problem["preset"], mesh,
+                                           problem["mode"])
 
 
-def _build_problem(args, cp):
-    preset = args.preset or _cfg_get(cp, "problem", "preset",
-                                     "dam-unconfined")
-    if preset not in preset_names():
-        raise UsageError(f"unknown preset {preset!r} "
-                         f"(available: {', '.join(preset_names())})")
-    mesh = _resolve_mesh(args.mesh or _cfg_get(cp, "problem", "mesh"))
-    mode = _cfg_get(cp, "problem", "mode", "central")
-    try:
-        spec = build_preset(preset, mesh, mode)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    return preset, spec
+def _solver_config(cp):
+    return replace(_section_into(cp, "solver"),
+                   line_search=_section_into(cp, "line_search"),
+                   warmup=_section_into(cp, "warmup"))
 
 
-def _solver_config(cp, method=None):
-    base = SolverConfig()
-    cfg = _section_into(cp, "solver", base)
-    ls = _section_into(cp, "line_search", cfg.line_search)
-    wu = _section_into(cp, "warmup", cfg.warmup)
-    try:
-        cfg = replace(cfg, line_search=ls, warmup=wu)
-        if method is not None:
-            cfg = replace(cfg, method=method)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    return cfg
-
-
-def _cont_config(cp, kind=None):
-    cfg = _section_into(cp, "continuation", ContinuationConfig())
-    if kind is not None:
-        try:
-            cfg = replace(cfg, kind=kind)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    return cfg
+def _cont_config(cp):
+    return _section_into(cp, "continuation")
 
 
 def _check_choice(name, value, allowed):
@@ -195,20 +191,20 @@ def _check_choice(name, value, allowed):
             f"{', '.join(allowed)})")
 
 
-def _out_dir(args, cp):
-    out = args.out or _cfg_get(cp, "output", "dir", "out")
+def _out_dir(cp):
+    out = _section_into(cp, "output")["dir"]
     os.makedirs(out, exist_ok=True)
     return out
 
 
 def cmd_solve(args):
-    cp = _read_config(args.config)
-    scheme = args.scheme or _cfg_get(cp, "problem", "scheme", "tpfa")
+    cp = _read_config(args.config, args)
+    scheme = _section_into(cp, "problem")["scheme"]
     _check_choice("scheme", scheme, SCHEMES)
-    solver_cfg = _solver_config(cp, args.solver)
-    cont_cfg = _cont_config(cp, args.continuation)
-    preset, spec = _build_problem(args, cp)
-    out = _out_dir(args, cp)
+    solver_cfg = _solver_config(cp)
+    cont_cfg = _cont_config(cp)
+    preset, spec = _build_problem(cp)
+    out = _out_dir(cp)
 
     disc = Discretization(spec, scheme)
     h, report = run_continuation(disc, solver_cfg, cont_cfg)
@@ -229,23 +225,16 @@ def cmd_solve(args):
 
 
 def cmd_sweep(args):
-    cp = _read_config(args.config)
-    schemes = (args.schemes or
-               _cfg_get(cp, "sweep", "schemes", "tpfa,mpfa-o")).split(",")
-    solvers = (args.solvers or
-               _cfg_get(cp, "sweep", "solvers",
-                        "newton,picard,mixed")).split(",")
-    kinds = (args.kinds or
-             _cfg_get(cp, "sweep", "kinds", "linear,power")).split(",")
-    schemes = [s.strip() for s in schemes if s.strip()]
-    solvers = [s.strip() for s in solvers if s.strip()]
-    kinds = [s.strip() for s in kinds if s.strip()]
+    cp = _read_config(args.config, args)
+    schemes, solvers, kinds = (
+        [s.strip() for s in value.split(",") if s.strip()]
+        for value in _section_into(cp, "sweep").values())
     for s in schemes:
         _check_choice("scheme", s, SCHEMES)
     entries = make_entries(schemes, solvers, kinds, _solver_config(cp),
                            _cont_config(cp))
-    preset, spec = _build_problem(args, cp)
-    out = _out_dir(args, cp)
+    preset, spec = _build_problem(cp)
+    out = _out_dir(cp)
 
     rows = sweep(spec, entries)
     write_sweep_csv(rows, os.path.join(out, "sweep.csv"))

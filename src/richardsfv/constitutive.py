@@ -122,15 +122,17 @@ def vgm_kr_of_theta(theta, p):
     Raises ValueError outside [theta_r, theta_s]; assembly clamps before
     calling. Endpoints map exactly to 0 and 1.
     """
-    theta_a = np.atleast_1d(np.asarray(theta, dtype=float))
-    if (theta_a < p.theta_r).any() or (theta_a > p.theta_s).any():
-        raise ValueError(
-            f"theta outside [{p.theta_r}, {p.theta_s}]")
-    se = (theta_a - p.theta_r) / (p.theta_s - p.theta_r)
-    m = p.m
-    kr = np.sqrt(se) * (1.0 - np.power(1.0 - np.power(se, 1.0 / m), m)) ** 2
-    kr = np.where(se <= 0.0, 0.0, np.where(se >= 1.0, 1.0, kr))
-    return float(kr[0]) if np.isscalar(theta) else kr.reshape(np.shape(theta))
+    def mualem(theta):
+        if (theta < p.theta_r).any() or (theta > p.theta_s).any():
+            raise ValueError(
+                f"theta outside [{p.theta_r}, {p.theta_s}]")
+        se = (theta - p.theta_r) / (p.theta_s - p.theta_r)
+        m = p.m
+        kr = np.sqrt(se) * (1.0 - np.power(1.0 - np.power(se, 1.0 / m),
+                                           m)) ** 2
+        return np.where(se <= 0.0, 0.0, np.where(se >= 1.0, 1.0, kr))
+
+    return _pointwise(mualem, theta)
 
 
 def vgm_kr_of_head(h, z, p):

@@ -401,8 +401,9 @@ class Discretization:
         return out
 
     def flux_imbalance(self, h, q, kind):
-        """Per-cell |sum of signed face fluxes - Q area|, accumulated via
-        the mesh cell-face adjacency (independent of residual scatter)."""
+        """Per-cell signed imbalance: sum of the outward face fluxes minus
+        Q area, accumulated via the mesh cell-face adjacency (independent
+        of residual scatter)."""
         mesh = self.spec.mesh
         flux = self.face_fluxes(h, q, kind)
         rhs = self.spec.source_per_cell() * mesh.cell_area

@@ -6,7 +6,7 @@ the unconfined water-content model needs. Generators for Cartesian and
 triangulated rectangles plus a plain-text file format are provided.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 
 import numpy as np
@@ -78,6 +78,11 @@ class Mesh2D:
     cf_face: np.ndarray = field(repr=False)
     cf_sign: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        # every array, also one passed in through dataclasses.replace
+        for f in fields(self):
+            getattr(self, f.name).setflags(write=False)
+
     @property
     def n_cells(self):
         return len(self.cell_area)
@@ -112,7 +117,7 @@ class Mesh2D:
         return sorted({t for t in self.face_tag if t is not None})
 
 
-def build_mesh(vertices, cells, tag_edges=None, default_tag="boundary"):
+def build_mesh(vertices, cells, tag_edges=None):
     """Assemble a validated :class:`Mesh2D` from vertices and cell loops.
 
     Parameters
@@ -122,7 +127,7 @@ def build_mesh(vertices, cells, tag_edges=None, default_tag="boundary"):
         Each cell a simple polygon; orientation is normalized to CCW.
     tag_edges : dict, optional
         Maps unordered boundary vertex pairs ``(va, vb)`` to tag names.
-        Untagged boundary faces receive ``default_tag``.
+        Untagged boundary faces are tagged ``"boundary"``.
 
     Raises
     ------
@@ -131,7 +136,7 @@ def build_mesh(vertices, cells, tag_edges=None, default_tag="boundary"):
         by more than two cells. Of several faulty cells the lowest-numbered
         one is reported.
     """
-    vertices = np.ascontiguousarray(vertices, dtype=float)
+    vertices = np.array(vertices, dtype=float, order="C")  # ours to freeze
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise MeshTopologyError("vertices must be an (nv, 2) array")
     nv = len(vertices)
@@ -255,7 +260,7 @@ def build_mesh(vertices, cells, tag_edges=None, default_tag="boundary"):
     lo = np.minimum(face_vertices[boundary, 0], face_vertices[boundary, 1])
     hi = np.maximum(face_vertices[boundary, 0], face_vertices[boundary, 1])
     keys = list(zip(lo.tolist(), hi.tolist()))
-    face_tag[boundary] = [tag_edges.get(k, default_tag) for k in keys]
+    face_tag[boundary] = [tag_edges.get(k, "boundary") for k in keys]
     seen = set(keys)
     for key in tag_edges:
         if key not in seen:
@@ -279,10 +284,6 @@ def build_mesh(vertices, cells, tag_edges=None, default_tag="boundary"):
         cf_face=cf_face,
         cf_sign=cf_sign,
     )
-    for arr in (mesh.vertices, mesh.cell_vert, mesh.cell_centroid,
-                mesh.cell_area, mesh.face_cells, mesh.face_normal,
-                mesh.face_length, mesh.face_midpoint):
-        arr.setflags(write=False)
     _check_closure(mesh)
     return mesh
 

@@ -1,5 +1,7 @@
 """Preset builders: dam tensor, boundary assignment, verification cases."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from richardsfv.benchmarks import (build_dam, build_layered_slab,
                                    build_preset, build_verification_linear,
                                    dam_conductivity, dam_mesh, preset_names)
 from richardsfv.constitutive import UnconfinedParams, VgmParams
+from richardsfv.mesh import Mesh2D
 
 
 def test_dam_tensor_entries():
@@ -115,3 +118,23 @@ def test_preset_dispatch():
         assert spec.mesh.n_cells == 9
     with pytest.raises(ValueError):
         build_preset("dam-seepage")
+
+
+@pytest.mark.parametrize("name", ["dam-unconfined", "dam-vgm",
+                                  "layered-slab"])
+def test_preset_passes_kr_mode(name):
+    assert build_preset(name, "cartesian:3x3", "upwind").kr_mode == "upwind"
+
+
+def test_unknown_preset_names_the_presets():
+    with pytest.raises(ValueError, match=r"^unknown preset 'x' \(available: "
+                       r"dam-unconfined, dam-vgm, layered-slab, "
+                       r"verify-linear\)$"):
+        build_preset("x")
+
+
+def test_dam_mesh_read_only():
+    # the retagged face_tag reaches the mesh through dataclasses.replace
+    mesh = build_dam("unconfined", "cartesian:4x4").mesh
+    for fld in fields(Mesh2D):
+        assert not getattr(mesh, fld.name).flags.writeable, fld.name

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from richardsfv.benchmarks import dam_mesh
 from richardsfv.cli import _cont_config, _read_config, _solver_config, main
+from richardsfv.cli import OPTIONS, _build_problem
 from richardsfv.mesh import gen_cartesian, write_mesh
 
 
@@ -225,3 +227,121 @@ def test_console_script_installed():
     out = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert out.returncode == 0
     assert "solve" in out.stdout
+
+
+def test_config_percent_is_literal_in_dir(tmp_path):
+    cfg = tmp_path / "pct.ini"
+    cfg.write_text(f"[output]\ndir = {tmp_path}/out%1\n")
+    rc = run_cli("solve", "--preset", "dam-unconfined",
+                 "--mesh", "cartesian:3x3", "--config", str(cfg))
+    assert rc == 0
+    assert (tmp_path / "out%1" / "report.csv").exists()
+
+
+def test_config_percent_in_number_is_a_bad_value(tmp_path, capsys):
+    cfg = tmp_path / "pct.ini"
+    cfg.write_text("[solver]\nnit_max = 5%\n")
+    rc = run_cli("solve", "--preset", "dam-unconfined",
+                 "--mesh", "cartesian:3x3", "--config", str(cfg),
+                 "--out", str(tmp_path / "o"))
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: config [solver] nit_max = '5%' is not a valid int\n"
+
+
+def _sweep_row():
+    return Path("out", "sweep.csv").read_text().splitlines()[1].split(",")
+
+
+# per option: the command, the value its key gets in the INI file, the
+# option's value, and whether a run's stdout (and its files in the
+# working directory) shows a given value in effect
+OPTION_CASES = {
+    "preset": ("solve", "layered-slab", "dam-vgm",
+               lambda v, out: out.startswith(f"{v} scheme=")),
+    "mesh": ("solve", "cartesian:3x3", "cartesian:4x3",
+             lambda v, out: f"CELLS {dam_mesh(v).n_cells} " in
+             Path("out", "solution.vtk").read_text()),
+    "scheme": ("solve", "mpfa-o", "tpfa",
+               lambda v, out: f" scheme={v} " in out),
+    "solver": ("solve", "picard", "newton",
+               lambda v, out: f" solver={v} " in out),
+    "continuation": ("solve", "power", "linear",
+                     lambda v, out: f" kind={v}: " in out),
+    "out": ("solve", "a", "b",
+            lambda v, out: f"outputs written to {v}/" in out and
+            Path(v, "report.csv").exists()),
+    "schemes": ("sweep", "mpfa-o", "tpfa",
+                lambda v, out: _sweep_row()[0] == v),
+    "solvers": ("sweep", "picard", "newton",
+                lambda v, out: _sweep_row()[1] == v),
+    "kinds": ("sweep", "power", "linear",
+              lambda v, out: _sweep_row()[2] == v),
+}
+
+
+@pytest.mark.parametrize("option", sorted(OPTIONS))
+def test_option_wins_over_its_key(tmp_path, monkeypatch, capsys, option):
+    command, ini_value, option_value, shows = OPTION_CASES[option]
+    section, key = OPTIONS[option]
+    monkeypatch.chdir(tmp_path)
+    sections = {"problem": {"mesh": "cartesian:3x3"},
+                "sweep": {"schemes": "tpfa", "solvers": "newton",
+                          "kinds": "linear"}}
+    sections.setdefault(section, {})[key] = ini_value
+    Path("run.ini").write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()))
+    # the file's value without the option, the option's value with it
+    for argv, value in (((), ini_value),
+                        ((f"--{option}", option_value), option_value)):
+        capsys.readouterr()
+        assert run_cli(command, "--config", "run.ini", *argv) == 0
+        assert shows(value, capsys.readouterr().out)
+
+
+def test_empty_option_falls_back_to_file(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[problem]\npreset = dam-vgm\nmesh = cartesian:3x3\n")
+    rc = run_cli("solve", "--preset", "", "--config", str(cfg),
+                 "--out", str(tmp_path / "o"))
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("dam-vgm scheme=")
+
+
+def test_option_replaces_an_invalid_file_value(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[solver]\nmethod = bfgs\n")
+    rc = run_cli("solve", "--preset", "dam-unconfined", "--solver", "newton",
+                 "--mesh", "cartesian:3x3", "--config", str(cfg),
+                 "--out", str(tmp_path / "o"))
+    assert rc == 0
+
+
+@pytest.mark.parametrize("argv, ini, err", [
+    pytest.param(("--solver", "bfgs"), "[solver]\nnit_pic = 3\n",
+                 "error: unknown method 'bfgs' "
+                 "(supported: newton, picard, mixed)\n", id="option"),
+    pytest.param(("--continuation", "cubic"),
+                 "[continuation]\ndq_min = 0.01\n",
+                 "error: unknown continuation kind 'cubic' "
+                 "(supported: linear, power)\n", id="option-kind"),
+    pytest.param(("--continuation", "power"),
+                 "[continuation]\ndq_min = 2\n",
+                 "error: config [continuation]: "
+                 "need 0 < dq_min <= dq_init <= 1\n", id="file"),
+])
+def test_invalid_value_blames_its_source(tmp_path, capsys, argv, ini, err):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini)
+    rc = run_cli("solve", "--preset", "dam-unconfined", *argv,
+                 "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert rc == 1
+    assert capsys.readouterr().err == err
+
+
+def test_problem_mode_reaches_the_problem(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[problem]\nmode = upwind\nmesh = cartesian:3x3\n")
+    preset, spec = _build_problem(_read_config(str(cfg)))
+    assert (preset, spec.kr_mode) == ("dam-unconfined", "upwind")

@@ -354,6 +354,14 @@ def test_vgm_scalar_api_is_cell_curves(n):
                       cell_curves(p, h, z, None, None)[2])
 
 
+def test_vgm_kr_of_theta_scalar_api():
+    # its own Mualem-of-theta formula, under the same float rule
+    p = VgmParams(0.05, 0.4, 1.3, 1.2)
+    theta = np.linspace(p.theta_r, p.theta_s, 13)
+    _assert_pointwise(lambda theta: vgm_kr_of_theta(theta, p), (theta,),
+                      vgm_kr_of_theta(theta, p))
+
+
 def test_unconf_scalar_api_is_cell_curves():
     h = np.linspace(-40.0, 5.0, 60)  # all three branches and the clamp
     z_min = np.linspace(-1.0, 0.0, 60)

@@ -217,6 +217,22 @@ def test_untagged_boundary_gets_default():
     assert m.tag_names() == ["boundary"]
 
 
+def test_mesh_arrays_read_only():
+    # every field, also an array passed in through dataclasses.replace
+    m = gen_triangular(3, 2, 3.0, 2.0)
+    for mesh in (m, replace(m, face_tag=m.face_tag.copy())):
+        for fld in fields(Mesh2D):
+            assert not getattr(mesh, fld.name).flags.writeable, fld.name
+
+
+def test_build_mesh_leaves_caller_vertices_alone():
+    verts = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    m = build_mesh(verts, [[0, 1, 2, 3]])
+    assert verts.flags.writeable
+    verts[0, 0] = -1.0
+    assert m.vertices[0, 0] == 0.0
+
+
 def test_degenerate_cells_rejected():
     verts = [(0, 0), (1, 0), (2, 0), (0, 1)]
     with pytest.raises(MeshTopologyError):
@@ -257,7 +273,7 @@ def _loop_polygon_area_centroid(pts):
     return area, np.array([cx, cz])
 
 
-def _loop_build_mesh(vertices, cells, tag_edges=None, default_tag="boundary"):
+def _loop_build_mesh(vertices, cells, tag_edges=None):
     """Reference: the per-cell, per-edge loop build of a Mesh2D."""
     vertices = np.ascontiguousarray(vertices, dtype=float)
     nv = len(vertices)
@@ -338,7 +354,7 @@ def _loop_build_mesh(vertices, cells, tag_edges=None, default_tag="boundary"):
     seen = set()
     for f in np.nonzero(face_cells[:, 1] < 0)[0]:
         key = tuple(sorted(face_vertices[f]))
-        face_tag[f] = tag_edges.get(key, default_tag)
+        face_tag[f] = tag_edges.get(key, "boundary")
         seen.add(key)
     for key in tag_edges:
         if key not in seen:
