@@ -4,7 +4,8 @@ Only a Jacobian needs derivatives: residuals (every line-search trial),
 Picard matrices and face fluxes use kr alone. The curve kernels and
 face_system take need_deriv and, when it is false, skip theta and every
 derivative; kr comes from the same operations either way, so it is
-bitwise the same.
+bitwise the same. face_system and scatter_faces take the face
+topology precomputed (see Discretization), so a call builds no mask.
 
 All functions are free of Python-level state. Callers reach them
 through this module's attributes (``_kernels.face_system``) rather than
@@ -22,9 +23,12 @@ _SE_SAT = 1.0 - 1e-15
 def vgm_curves(psi, theta_r, theta_s, alpha, n, need_deriv=True):
     """Van Genuchten water content and Mualem relative permeability.
 
+    The Mualem formula and the derivatives run only on the entries that
+    are neither saturated (within 1e-15 of 1) nor dry (0), and on NaN.
+
     Parameters
     ----------
-    psi : float array
+    psi : 1-D float array
         Capillary pressure head (m); the saturated branch psi >= 0
         returns theta_s / kr = 1 with zero derivatives.
     theta_r, theta_s, alpha, n : float
@@ -40,42 +44,45 @@ def vgm_curves(psi, theta_r, theta_s, alpha, n, need_deriv=True):
     psi = np.asarray(psi, dtype=float)
     m = 1.0 - 1.0 / n
 
-    wet = psi >= 0.0
-    p = -psi[~wet]
+    unsat = (~(psi >= 0.0)).nonzero()[0]  # psi < 0, and NaN
+    p = -psi[unsat]
     with np.errstate(over="ignore"):
         u = np.power(alpha * p, n)
         se = np.power(1.0 + u, -m)
     sat = se >= _SE_SAT
-    se_w = np.where(sat, 0.5, se)  # placeholder values, overwritten below
-    dry = se_w <= 0.0
-    se_w = np.where(dry, 0.5, se_w)
+    dry = se <= 0.0
+    mid = ~(sat | dry)  # NaN included
+    at = unsat[mid]
+    s = se[mid]
 
-    sqrt_se = np.sqrt(se_w)
-    t = np.power(se_w, 1.0 / m)
+    sqrt_se = np.sqrt(s)
+    t = np.power(s, 1.0 / m)
     # g = 1 - (1 - t)^m via expm1/log1p: avoids the cancellation that
     # otherwise dominates g for small t
     la = np.log1p(-t)
     g = -np.expm1(m * la)
-    kr = np.ones_like(psi)
-    kr[~wet] = np.where(sat, 1.0, np.where(dry, 0.0, sqrt_se * g * g))
+    kr = np.ones(psi.shape)
+    kr[at] = sqrt_se * g * g
+    kr[unsat[dry]] = 0.0
     if not need_deriv:
         return None, None, kr, None
 
     # (alpha p)^(n-1) = u/(alpha p) and (1+u)^(-m-1) = se/(1+u); ditto
     # (1-t)^(m-1) = (1-g)/(1-t) and se^(1/m-1) = t/se below
+    p, u = p[mid], u[mid]
     with np.errstate(over="ignore", invalid="ignore"):
-        dse = m * n * alpha * (u / (alpha * p)) * (se / (1.0 + u))
+        dse = m * n * alpha * (u / (alpha * p)) * (s / (1.0 + u))
         dse = np.where(np.isfinite(dse), dse, 0.0)
     dkr_dse = 0.5 / sqrt_se * g * g \
-        + 2.0 * sqrt_se * g * ((1.0 - g) / (1.0 - t)) * (t / se_w)
+        + 2.0 * sqrt_se * g * ((1.0 - g) / (1.0 - t)) * (t / s)
 
     theta = np.full_like(psi, theta_s)
-    dtheta = np.zeros_like(psi)
-    dkr = np.zeros_like(psi)
+    dtheta = np.zeros(psi.shape)
+    dkr = np.zeros(psi.shape)
     dtw = theta_s - theta_r
-    theta[~wet] = np.where(sat, theta_s, theta_r + dtw * se)
-    dtheta[~wet] = np.where(sat | dry, 0.0, dtw * dse)
-    dkr[~wet] = np.where(sat | dry, 0.0, dkr_dse * dse)
+    theta[unsat] = np.where(sat, theta_s, theta_r + dtw * se)
+    dtheta[at] = dtw * dse
+    dkr[at] = dkr_dse * dse
     return theta, dtheta, kr, dkr
 
 
@@ -141,16 +148,18 @@ def continuation_apply(kf, q, kind_code, need_deriv):
     return K, np.where(zero, 0.0, q * np.power(kf_s, q - 1.0))
 
 
-def face_system(h, kr, dkr, kr_dir, cell_l, cell_r, ptr, col, w, g,
+def face_system(h, kr, dkr, kr_dir, flux_op, g, cell_l, cell_r0, bdry,
                 q, kind_code, mode_code, need_deriv):
     """Per-face base flux and continued permeability with derivatives.
 
-    The base flux of face f is sum(w[ptr[f]:ptr[f+1]] * h[col[...]]) +
-    g[f]. Face permeability uses the central half-sum (mode_code 0) or
-    the higher-head upwind value (mode_code 1, ties fall back to the
-    half-sum); Dirichlet boundary faces (cell_r < 0) use the precomputed
-    kr_dir value, which carries no derivative. dkr is read only when
-    need_deriv is true, so it may be None otherwise.
+    The base flux of face f is row f of flux_op @ h, plus g[f]; flux_op
+    is the face x cell CSR matrix of the stencil weights. cell_l and
+    cell_r0 are the two cells of each face, cell_r0 clamped to 0 on the
+    Dirichlet boundary faces, whose indices are bdry. Face permeability
+    uses the central half-sum (mode_code 0) or the higher-head upwind
+    value (mode_code 1, ties fall back to the half-sum); boundary faces
+    use the precomputed kr_dir value, which carries no derivative. dkr
+    is read only when need_deriv is true, so it may be None otherwise.
 
     Returns
     -------
@@ -158,42 +167,38 @@ def face_system(h, kr, dkr, kr_dir, cell_l, cell_r, ptr, col, w, g,
         dk_l / dk_r are d(kface)/dh of the left/right cell, None when
         need_deriv is false.
     """
-    hw = w * h[col]
-    flux0 = np.add.reduceat(hw, ptr[:-1]) if len(hw) else np.zeros(0)
-    flux0 = flux0 + g
+    flux0 = flux_op @ h + g
 
-    bdry = cell_r < 0
-    safe_r = np.where(bdry, 0, cell_r)
     kr_l = kr[cell_l]
-    kr_r = kr[safe_r]
+    kr_r = kr[cell_r0]
     if mode_code == 0:
         kf = 0.5 * (kr_l + kr_r)
         wl = wr = 0.5
     else:
         h_l = h[cell_l]
-        h_r = h[safe_r]
+        h_r = h[cell_r0]
         wl = np.where(h_l > h_r, 1.0, np.where(h_l < h_r, 0.0, 0.5))
         wr = 1.0 - wl
         kf = wl * kr_l + wr * kr_r
-    kf = np.where(bdry, kr_dir, kf)
+    kf[bdry] = kr_dir[bdry]
 
     K, dKdkf = continuation_apply(kf, q, kind_code, need_deriv)
     if not need_deriv:
         return flux0, K, None, None
-    dk_l = np.where(bdry, 0.0, dKdkf * wl * dkr[cell_l])
-    dk_r = np.where(bdry, 0.0, dKdkf * wr * dkr[safe_r])
+    dk_l = dKdkf * wl * dkr[cell_l]
+    dk_r = dKdkf * wr * dkr[cell_r0]
+    dk_l[bdry] = dk_r[bdry] = 0.0
     return flux0, K, dk_l, dk_r
 
 
-def scatter_faces(values, cell_l, cell_r, n_cells):
+def scatter_faces(values, cell_l, int_faces, int_r, n_cells):
     """Signed per-cell accumulation of face quantities.
 
-    Adds values to the first adjacent cell and subtracts them from the
-    second where it exists (cell_r >= 0).
+    Adds values to the first adjacent cell of every face and subtracts
+    those of the interior faces int_faces from their second cells int_r.
     """
     out = np.bincount(cell_l, weights=values, minlength=n_cells)
-    interior = cell_r >= 0
-    if interior.any():
-        out -= np.bincount(cell_r[interior], weights=values[interior],
+    if len(int_faces):
+        out -= np.bincount(int_r, weights=values[int_faces],
                            minlength=n_cells)
     return out

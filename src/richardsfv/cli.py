@@ -98,8 +98,11 @@ def _read_config(path, args=None):
     if path is not None:
         if not os.path.exists(path):
             raise UsageError(f"config file not found: {path}")
+        # opened here, not by cp.read, which skips a file it cannot open:
+        # a directory or an unreadable file is an error (OSError)
         try:
-            cp.read(path)
+            with open(path) as f:
+                cp.read_file(f, path)
         except configparser.Error as exc:
             raise UsageError(f"cannot parse config {path}: {exc}") from None
     for section in cp.sections():
@@ -220,7 +223,7 @@ def cmd_solve(args):
           f"kind={cont_cfg.kind}: {status}, steps "
           f"{report.n_success}({report.n_failed}), total iterations "
           f"{report.total_iterations}")
-    print(f"outputs written to {out}/")
+    print(f"outputs written to {os.path.join(out, '')}")
     return 0 if report.success else 2
 
 
@@ -240,7 +243,7 @@ def cmd_sweep(args):
     write_sweep_csv(rows, os.path.join(out, "sweep.csv"))
     print(f"sweep of {preset}: {len(rows)} configurations")
     print(format_sweep_table(rows))
-    print(f"table written to {out}/sweep.csv")
+    print(f"table written to {os.path.join(out, 'sweep.csv')}")
     return 0
 
 

@@ -9,6 +9,7 @@ permeability multiplying the base flux depends only on the two adjacent
 cells, via the continuation wrapper.
 """
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -216,12 +217,14 @@ def _tpfa_stencils(spec, dir_faces, dir_vals):
 def _by_medium(spec, cells):
     """Per medium present among cells: (model, the positions in cells of
     its cells, and their centroid z, z_min and z_max, as cell_curves
-    takes them)."""
+    takes them). When one medium holds all the cells, its positions are
+    slice(None)."""
     mesh = spec.mesh
     groups = []
     for mi, medium in enumerate(spec.media):
-        ids = np.nonzero(spec.cell_medium[cells] == mi)[0]
-        if len(ids):
+        on = spec.cell_medium[cells] == mi
+        if on.any():
+            ids = slice(None) if on.all() else np.nonzero(on)[0]
             c = cells[ids]
             groups.append((medium.model, ids, mesh.cell_centroid[c, 1],
                            mesh.cell_zmin[c], mesh.cell_zmax[c]))
@@ -232,6 +235,9 @@ def _curves(groups, h, need_deriv):
     """(theta, dtheta, kr, dkr) of the cells the groups cover, at heads
     h given in their order, by one cell_curves call per medium. When
     need_deriv is false theta, dtheta and dkr are None."""
+    if len(groups) == 1:  # one medium holds every cell: no gather
+        model, _, *geometry = groups[0]
+        return cell_curves(model, h, *geometry, need_deriv)
     n = len(h)
     kr = np.empty(n)
     theta, dtheta, dkr = (np.empty(n), np.empty(n), np.empty(n)) \
@@ -248,13 +254,23 @@ class Discretization:
     """Precomputed flux stencils plus assembly entry points.
 
     Building a Discretization validates the problem and computes the
-    scheme stencils once. On first use it also fixes the one sparsity
-    pattern of its Picard matrices and Jacobians (pattern) and a
-    fill-reducing ordering of that pattern (order), which every linear
-    solve reuses. The per-iteration work is only constitutive evaluation
-    and one bincount per entry-to-slot map into the pattern's data.
-    Only assemble_jacobian needs the kr derivatives; residual, assemble
-    and face_fluxes evaluate kr alone.
+    scheme stencils once, with the face topology every evaluation uses:
+    the Dirichlet faces (dir_at), the right cell clamped to 0 on them
+    (cell_r0), and the interior faces with their right cells (int_faces,
+    int_r). On first use it also fixes the one sparsity pattern of its
+    Picard matrices and Jacobians (pattern), a fill-reducing ordering of
+    that pattern (order), which every linear solve reuses, and the flux
+    operator (flux_op), the face x cell CSR matrix of the stencils
+    (w, col, ptr). The per-iteration work is only constitutive
+    evaluation, one product with the flux operator and one bincount per
+    entry-to-slot map into the pattern's data. Only assemble_jacobian
+    needs the kr derivatives; residual, assemble and face_fluxes
+    evaluate kr alone.
+
+    On TPFA, whose stencils have at most two entries, the flux operator
+    gives bitwise the sums of the stencils taken entry by entry. On
+    MPFA-O it adds a stencil's entries left to right, a different order
+    from np.add.reduceat's, so results can differ in the last digits.
     """
 
     def __init__(self, spec, scheme="tpfa"):
@@ -276,7 +292,13 @@ class Discretization:
         self.face_ids, self.ptr, self.col, self.w, self.g = stencils
         self.cell_l = mesh.face_cells[self.face_ids, 0].copy()
         self.cell_r = mesh.face_cells[self.face_ids, 1].copy()
+        # fixed face topology: the Dirichlet faces (cell_r < 0), the right
+        # cell clamped to 0 on them, the interior faces and their right
+        # cells
+        self.dir_at = np.nonzero(self.cell_r < 0)[0]
+        self.cell_r0 = np.maximum(self.cell_r, 0)
         self.int_faces = np.nonzero(self.cell_r >= 0)[0]
+        self.int_r = self.cell_r[self.int_faces]
 
         # fixed source / Neumann part of b
         self.b_base = spec.source_per_cell() * mesh.cell_area
@@ -286,7 +308,7 @@ class Discretization:
         # Dirichlet-face kr, evaluated once at the boundary head with the
         # adjacent cell's geometry (modeling choice; heads are fixed)
         self.kr_dir = np.zeros(len(self.face_ids))
-        at = np.nonzero(self.cell_r < 0)[0]
+        at = self.dir_at
         h_dir = self.dir_vals[np.searchsorted(self.dir_faces,
                                               self.face_ids[at])]
         self.kr_dir[at] = _curves(_by_medium(spec, self.cell_l[at]), h_dir,
@@ -324,15 +346,34 @@ class Discretization:
                                slot[:len(a_face)], slot[len(a_face):])
 
     @cached_property
+    def flux_op(self):
+        """The face x cell CSR matrix of the stencils (w, col, ptr),
+        built on first use: the base fluxes are flux_op @ h + g."""
+        return sps.csr_matrix((self.w, self.col, self.ptr),
+                              shape=(len(self.face_ids), self.n_cells))
+
+    @cached_property
     def order(self):
         """The fill-reducing Ordering of the pattern, computed once and
-        passed to every linear solve of this discretization."""
-        return linalg.Ordering(self.pattern.indptr, self.pattern.indices)
+        passed to every linear solve of this discretization. It holds
+        the very index arrays every assembled matrix shares, so a solve
+        recognises the pattern without comparing it."""
+        return linalg.Ordering(self._blank.indptr, self._blank.indices)
+
+    @cached_property
+    def _blank(self):
+        """A matrix of the pattern with zero values, the structure every
+        assembled matrix shares."""
+        pat = self.pattern
+        return sps.csr_matrix((np.zeros(len(pat.indices)), pat.indices,
+                               pat.indptr), shape=(self.n_cells, self.n_cells))
 
     def _matrix(self, data):
-        pat = self.pattern
-        return sps.csr_matrix((data, pat.indices, pat.indptr),
-                              shape=(self.n_cells, self.n_cells))
+        # a shallow copy shares the blank matrix's checked structure, so
+        # scipy does not validate the pattern again for every matrix
+        A = copy.copy(self._blank)
+        A.data = data
+        return A
 
     def _a_data(self, K):
         pat = self.pattern
@@ -350,14 +391,17 @@ class Discretization:
     def _face_system(self, h, q, kind, need_deriv):
         _, _, kr, dkr = self.cell_state(h, need_deriv)
         return _kernels.face_system(
-            h, kr, dkr, self.kr_dir, self.cell_l, self.cell_r,
-            self.ptr, self.col, self.w, self.g,
-            float(q), _kind_code(kind), self.mode_code, need_deriv)
+            h, kr, dkr, self.kr_dir, self.flux_op, self.g, self.cell_l,
+            self.cell_r0, self.dir_at, float(q), _kind_code(kind),
+            self.mode_code, need_deriv)
+
+    def _scatter(self, values):
+        return _kernels.scatter_faces(values, self.cell_l, self.int_faces,
+                                      self.int_r, self.n_cells)
 
     def _residual(self, flux0, K):
         """F = A h - b from the face base fluxes and permeabilities."""
-        return _kernels.scatter_faces(
-            K * flux0, self.cell_l, self.cell_r, self.n_cells) - self.b_base
+        return self._scatter(K * flux0) - self.b_base
 
     def residual(self, h, q, kind):
         """F(h) assembled directly (used by line-search trials)."""
@@ -368,8 +412,7 @@ class Discretization:
         """Picard matrix A(h), right-hand side b(h), and F = A h - b."""
         flux0, K, _, _ = self._face_system(h, q, kind, False)
         A = self._matrix(self._a_data(K))
-        b = self.b_base - _kernels.scatter_faces(
-            K * self.g, self.cell_l, self.cell_r, self.n_cells)
+        b = self.b_base - self._scatter(K * self.g)
         return Assembly(A=A, b=b, F=self._residual(flux0, K))
 
     def assemble_jacobian(self, h, q, kind, with_residual=False):
@@ -380,11 +423,10 @@ class Discretization:
         if q != 0.0:  # at q = 0 K is constant, so J is A (bitwise)
             fi = self.int_faces
             fl = flux0[fi]
-            data += np.bincount(
-                self.pattern.j_slot,
-                np.concatenate([dk_l[fi] * fl, dk_r[fi] * fl,
-                                -dk_l[fi] * fl, -dk_r[fi] * fl]),
-                minlength=len(data))
+            jl, jr = dk_l[fi] * fl, dk_r[fi] * fl
+            data += np.bincount(self.pattern.j_slot,
+                                np.concatenate([jl, jr, -jl, -jr]),
+                                minlength=len(data))
         J = self._matrix(data)
         if with_residual:
             return J, self._residual(flux0, K)

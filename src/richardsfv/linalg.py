@@ -7,6 +7,9 @@ permutation P for a sparsity pattern, found once by minimum degree on
 the pattern of A^T + A, and solve factors P A P^T in its natural order.
 A Discretization keeps one Ordering for the fixed pattern of all its
 matrices; a solve given no Ordering builds one from A's own pattern.
+A float CSR matrix of the Ordering's pattern skips the input checks,
+which the Ordering made once, and is laid into the Ordering's own
+P A P^T matrix (see Ordering).
 SuperLU factors without relaxed supernodes and with panels of one
 column (RELAX, PANEL_SIZE): performance parameters only, which leave
 the factors' nonzeros unchanged and store no padding zeros. The true
@@ -73,7 +76,12 @@ class Ordering:
     factorization that keeps almost nothing yields the same order as a
     full one at about a third of the cost. gather lays the data of any
     matrix of the pattern out as the CSC data of P A P^T, whose
-    structure is csc_indices and csc_indptr.
+    structure is csc_indices and csc_indptr. empty_row is the first row
+    of the pattern without entries, or None.
+
+    An Ordering owns one P A P^T matrix, PAPt, whose data every solve
+    with it refills, so solve must not run concurrently on one
+    Ordering.
     """
 
     def __init__(self, indptr, indices):
@@ -82,6 +90,13 @@ class Ordering:
         n = len(self.indptr) - 1
         self.shape = (n, n)
         nnz = len(self.indices)
+        entries = sps.csr_matrix((np.arange(1, nnz + 1), self.indices,
+                                  self.indptr), shape=self.shape)
+        if not entries.has_canonical_format:
+            raise ValueError(
+                "an ordering needs a pattern with sorted indices and no "
+                "duplicates")
+        self.empty_row = _first_empty_row(self.indptr)
         standin = sps.csr_matrix((np.full(nnz, -1.0), self.indices,
                                   self.indptr), shape=self.shape) + \
             sps.diags(np.diff(self.indptr) + 1.0)
@@ -90,18 +105,38 @@ class Ordering:
             permc_spec="MMD_AT_PLUS_A").perm_c)
         # entry numbers laid out as P A P^T in CSC are the gather map;
         # they start at 1, so that no entry is an explicit zero
-        entries = sps.csr_matrix((np.arange(1, nnz + 1), self.indices,
-                                  self.indptr), shape=self.shape)
         PAPt = entries[self.p].tocsc()[:, self.p]
         self.gather = PAPt.data - 1
         self.csc_indices = PAPt.indices.astype(np.intc, copy=False)
         self.csc_indptr = PAPt.indptr.astype(np.intc, copy=False)
+        self.PAPt = sps.csc_matrix(
+            (np.zeros(nnz), self.csc_indices, self.csc_indptr),
+            shape=self.shape)
 
     def matches(self, A):
-        """True when CSR matrix A has exactly this pattern."""
-        return A.shape == self.shape and \
-            np.array_equal(A.indptr, self.indptr) and \
-            np.array_equal(A.indices, self.indices)
+        """True when A is a CSR matrix with exactly this pattern."""
+        return sps.issparse(A) and A.format == "csr" and \
+            A.shape == self.shape and \
+            _same(A.indptr, self.indptr) and _same(A.indices, self.indices)
+
+    def permuted(self, A):
+        """PAPt refilled with the data of A, a float CSR matrix of this
+        pattern."""
+        # every gather index is in range; mode="clip" skips the bounds
+        # check's buffer
+        A.data.take(self.gather, out=self.PAPt.data, mode="clip")
+        return self.PAPt
+
+
+def _same(a, b):
+    return a is b or np.array_equal(a, b)
+
+
+def _check_rhs(b, n):
+    b = np.asarray(b, dtype=float)
+    if b.shape != (n,):
+        raise ValueError(f"right-hand side shape {b.shape} != ({n},)")
+    return b
 
 
 def _check_matrix(A, b):
@@ -111,17 +146,22 @@ def _check_matrix(A, b):
     n, m2 = A.shape
     if n != m2:
         raise ValueError(f"matrix must be square, got {n}x{m2}")
-    b = np.asarray(b, dtype=float)
-    if b.shape != (n,):
-        raise ValueError(f"right-hand side shape {b.shape} != ({n},)")
-    empty_rows = np.diff(A.indptr) == 0
-    if empty_rows.any():
-        raise SingularMatrixError(
-            f"matrix row {int(np.nonzero(empty_rows)[0][0])} is empty")
+    b = _check_rhs(b, n)
+    _refuse_empty_row(_first_empty_row(A.indptr))
     if not A.has_canonical_format:
         A = A.copy()
         A.sum_duplicates()
-    return A, b
+    return A.astype(float, copy=False), b
+
+
+def _first_empty_row(indptr):
+    empty = np.nonzero(np.diff(indptr) == 0)[0]
+    return int(empty[0]) if len(empty) else None
+
+
+def _refuse_empty_row(row):
+    if row is not None:
+        raise SingularMatrixError(f"matrix row {row} is empty")
 
 
 def solve(A, b, order=None):
@@ -129,10 +169,12 @@ def solve(A, b, order=None):
 
     Parameters
     ----------
-    A : scipy sparse matrix (or array-like convertible to one)
+    A : real scipy sparse matrix (or array-like convertible to one)
     b : vector
     order : Ordering of A's sparsity pattern, or None to build one from
-        A (the same permutation either way)
+        A (the same permutation either way). A float CSR matrix with
+        exactly order's pattern is used as it is; any other A is first
+        converted to a canonical float CSR matrix.
 
     Returns
     -------
@@ -147,24 +189,27 @@ def solve(A, b, order=None):
         a failed factorization, or a relative residual that is not
         finite or not below MAX_REL_RESIDUAL.
     """
-    A, b = _check_matrix(A, b)
+    matched = order is not None and order.matches(A) and \
+        A.dtype == np.float64
+    if matched:
+        b = _check_rhs(b, order.shape[0])
+        _refuse_empty_row(order.empty_row)
+    else:
+        A, b = _check_matrix(A, b)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(A.shape[0]), LinearSolveReport(0, 0.0, False,
                                                        "trivial")
     if order is None:
         order = Ordering(A.indptr, A.indices)
-    elif not order.matches(A):
+    elif not (matched or order.matches(A)):
         raise ValueError(
             f"ordering was built for a {order.shape[0]}x{order.shape[1]} "
             f"pattern with {len(order.indices)} entries, not for this "
             f"{A.shape[0]}x{A.shape[1]} matrix with {A.nnz}")
-    PAPt = sps.csc_matrix(
-        (A.data[order.gather], order.csc_indices, order.csc_indptr),
-        shape=A.shape)
     try:
-        lu = spla.splu(PAPt, permc_spec="NATURAL", relax=RELAX,
-                       panel_size=PANEL_SIZE)
+        lu = spla.splu(order.permuted(A), permc_spec="NATURAL",
+                       relax=RELAX, panel_size=PANEL_SIZE)
     except RuntimeError as exc:
         raise SingularMatrixError(f"sparse LU failed: {exc}") from None
     x = np.empty_like(b)

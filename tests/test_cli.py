@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import os
+
 import pytest
 
 from richardsfv.benchmarks import dam_mesh
@@ -47,6 +49,40 @@ def test_missing_config_exit_1(tmp_path, capsys):
     rc = run_cli("solve", "--config", str(tmp_path / "absent.ini"))
     assert rc == 1
     assert "absent.ini" in capsys.readouterr().err
+
+
+def test_config_directory_exit_1(tmp_path, capsys):
+    rc = run_cli("solve", "--config", str(tmp_path),
+                 "--out", str(tmp_path / "o"))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                    reason="root reads a file without read permission")
+def test_config_unreadable_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[problem]\nmesh = cartesian:3x3\n")
+    cfg.chmod(0)
+    rc = run_cli("solve", "--config", str(cfg),
+                 "--out", str(tmp_path / "o"))
+    assert rc == 1
+    assert "run.ini" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("slash", ["", "/"])
+def test_output_dir_printed_with_one_slash(tmp_path, monkeypatch, capsys,
+                                           slash):
+    monkeypatch.chdir(tmp_path)
+    mesh = ("--mesh", "cartesian:3x3")
+    assert run_cli("solve", *mesh, "--out", "out" + slash) == 0
+    assert capsys.readouterr().out.endswith("\noutputs written to out/\n")
+    assert run_cli("sweep", *mesh, "--schemes", "tpfa", "--solvers",
+                   "newton", "--kinds", "linear", "--out", "out" + slash) == 0
+    assert capsys.readouterr().out.endswith(
+        "\ntable written to out/sweep.csv\n")
 
 
 def test_unsupported_scheme_exit_1(capsys):

@@ -350,11 +350,13 @@ def four_faces(mode_code, need_deriv=True):
     """(K, dK/dh_l, dK/dh_r) of the four faces from face_system at q = 1
     under the power wrapper, where K is the face kr itself."""
     n = len(FACE_L)
+    flux_op = sps.csr_matrix((np.ones(n), FACE_L, np.arange(n + 1)),
+                             shape=(n, 4))
     return _kernels.face_system(
         np.array([5.0, 3.0, 4.0, 4.0]), np.array([0.2, 0.4, 0.6, 0.8]),
-        np.full(4, 0.5), np.array([0.0, 0.0, 0.0, 0.9]), FACE_L, FACE_R,
-        np.arange(n + 1), FACE_L, np.ones(n), np.zeros(n), 1.0, 1,
-        mode_code, need_deriv)[1:]
+        np.full(4, 0.5), np.array([0.0, 0.0, 0.0, 0.9]), flux_op,
+        np.zeros(n), FACE_L, np.maximum(FACE_R, 0),
+        np.nonzero(FACE_R < 0)[0], 1.0, 1, mode_code, need_deriv)[1:]
 
 
 def test_face_kr_central():

@@ -264,3 +264,77 @@ def test_lu_nnz_is_the_fill_of_a_dam_jacobian(scheme):
                    permc_spec="NATURAL")
     assert rep.lu_nnz == lu.L.nnz + lu.U.nnz
     assert lu.nnz > rep.lu_nnz  # the default options pad
+
+
+# -- solves through an Ordering's own P A P^T --------------------------
+
+def test_empty_row_through_an_ordering():
+    A = sps.csr_matrix(np.array([[2.0, 1.0, 0.0], [0.0, 0.0, 0.0],
+                                 [0.0, 1.0, 3.0]]))
+    A.eliminate_zeros()
+    order = Ordering(A.indptr, A.indices)
+    assert order.empty_row == 1
+    for o in (None, order):
+        with pytest.raises(SingularMatrixError,
+                           match=r"^matrix row 1 is empty$"):
+            solve(A, np.ones(3), o)
+
+
+def test_csc_arrays_of_the_pattern_are_another_pattern():
+    # A^T in CSC has exactly the CSR arrays of A; it must be read as the
+    # matrix it is, whose pattern is not A's
+    A = _grid_matrix(9)
+    A = sps.csr_matrix(sps.triu(A, format="csr") + sps.eye(A.shape[0]))
+    order = Ordering(A.indptr, A.indices)
+    At = A.T.tocsc()
+    assert np.array_equal(At.indptr, A.indptr)
+    assert np.array_equal(At.indices, A.indices)
+    with pytest.raises(ValueError, match="ordering was built"):
+        solve(At, np.ones(A.shape[0]), order)
+
+
+def test_non_canonical_matrix_solves_through_an_ordering():
+    A = _grid_matrix(10)
+    b = np.cos(np.arange(A.shape[0]))
+    order = Ordering(A.indptr, A.indices)
+    x, _ = solve(A, b, order)
+    # every row's entries reversed: unsorted indices, the same matrix
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    by_row = np.lexsort((-A.indices, rows))
+    unsorted = sps.csr_matrix((A.data[by_row], A.indices[by_row],
+                               A.indptr), shape=A.shape)
+    assert not unsorted.has_canonical_format
+    xu, _ = solve(unsorted, b, order)
+    assert np.array_equal(xu, x)
+
+
+def test_integer_matrix_solves_through_an_ordering():
+    A = lap1d(6)
+    Ai = sps.csr_matrix((A.data.astype(np.int64), A.indices, A.indptr),
+                        shape=A.shape)
+    order = Ordering(A.indptr, A.indices)
+    b = np.arange(1.0, 7.0)
+    assert np.array_equal(solve(Ai, b, order)[0], solve(A, b, order)[0])
+
+
+def test_solves_on_one_ordering_leak_nothing():
+    A1 = _grid_matrix(11)
+    A2 = _random_pattern_values(A1, 12)
+    data1, data2 = A1.data.copy(), A2.data.copy()
+    b = np.sin(np.arange(A1.shape[0]) + 1.0)
+    order = Ordering(A1.indptr, A1.indices)
+    own = [solve(A, b)[0] for A in (A1, A2)]  # each its own Ordering
+    for A, expect in ((A1, own[0]), (A2, own[1]), (A1, own[0])):
+        x, rep = solve(A, b, order)
+        assert np.array_equal(x, expect)
+        assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+    assert np.array_equal(A1.data, data1) and np.array_equal(A2.data, data2)
+    assert not np.array_equal(own[0], own[1])
+
+
+def test_ordering_refuses_a_non_canonical_pattern():
+    indptr = np.array([0, 2, 3])
+    with pytest.raises(ValueError, match="sorted indices and no duplicates"):
+        Ordering(indptr, np.array([1, 0, 1]))
+    with pytest.raises(ValueError, match="sorted indices and no duplicates"):
+        Ordering(indptr, np.array([0, 0, 1]))
