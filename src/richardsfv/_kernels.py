@@ -4,8 +4,8 @@ Only a Jacobian needs derivatives: residuals (every line-search trial),
 Picard matrices and face fluxes use kr alone. The curve kernels and
 face_system take need_deriv and, when it is false, skip theta and every
 derivative; kr comes from the same operations either way, so it is
-bitwise the same. face_system and scatter_faces take the face
-topology precomputed (see Discretization), so a call builds no mask.
+bitwise the same. face_system takes the face topology precomputed
+(see Discretization), so a call builds no mask.
 
 All functions are free of Python-level state. Callers reach them
 through this module's attributes (``_kernels.face_system``) rather than
@@ -114,14 +114,12 @@ def unconf_curves(h, z_min, z_max, phi, alpha_phi, alpha_theta, floor_frac,
     floor = phi * alpha_phi * floor_frac
     clamped = theta < floor
     n_clamped = int(clamped.sum())
-    if n_clamped:
-        theta = np.where(clamped, floor, theta)
+    theta = np.where(clamped, floor, theta)
     if not need_deriv:
         return None, None, theta / phi, None, n_clamped
     dtheta = np.where(h >= z_max, 0.0,
                       np.where(h >= h_r, phi / dz, phi * alpha_theta))
-    if n_clamped:
-        dtheta = np.where(clamped, 0.0, dtheta)
+    dtheta = np.where(clamped, 0.0, dtheta)
     return theta, dtheta, theta / phi, dtheta / phi, n_clamped
 
 
@@ -189,16 +187,3 @@ def face_system(h, kr, dkr, kr_dir, flux_op, g, cell_l, cell_r0, bdry,
     dk_r = dKdkf * wr * dkr[cell_r0]
     dk_l[bdry] = dk_r[bdry] = 0.0
     return flux0, K, dk_l, dk_r
-
-
-def scatter_faces(values, cell_l, int_faces, int_r, n_cells):
-    """Signed per-cell accumulation of face quantities.
-
-    Adds values to the first adjacent cell of every face and subtracts
-    those of the interior faces int_faces from their second cells int_r.
-    """
-    out = np.bincount(cell_l, weights=values, minlength=n_cells)
-    if len(int_faces):
-        out -= np.bincount(int_r, weights=values[int_faces],
-                           minlength=n_cells)
-    return out

@@ -91,9 +91,12 @@ def dam_mesh(choice):
 def _split_right_boundary(mesh, z_cut):
     """Retag 'right' boundary faces: midpoints with z <= z_cut become
     'right_wet' (Dirichlet head), the rest 'right_dry' (impermeable).
-    A mesh with no wet face is refused as too coarse."""
+    A mesh without 'right' faces is refused, one with no wet face as too
+    coarse."""
     tags = mesh.face_tag.copy()
     right = tags == "right"
+    if not right.any():
+        raise ValueError("mesh has no boundary face tagged 'right'")
     wet = mesh.face_midpoint[:, 1] <= z_cut + 1e-12
     if not (right & wet).any():
         raise ValueError("mesh too coarse: no right-boundary face lies "

@@ -126,7 +126,6 @@ def run_continuation(disc, solver_cfg=None, cont_cfg=None, h0=None):
     report.steps.append(StepRecord(0.0, trace.outcome, trace.iterations,
                                    trace, h_init_hash, _state_hash(h_new)))
     if trace.outcome != CONVERGED:
-        report.final_q = 0.0
         return h_new, report
     h = h_new
 

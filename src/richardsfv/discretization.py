@@ -235,9 +235,6 @@ def _curves(groups, h, need_deriv):
     """(theta, dtheta, kr, dkr) of the cells the groups cover, at heads
     h given in their order, by one cell_curves call per medium. When
     need_deriv is false theta, dtheta and dkr are None."""
-    if len(groups) == 1:  # one medium holds every cell: no gather
-        model, _, *geometry = groups[0]
-        return cell_curves(model, h, *geometry, need_deriv)
     n = len(h)
     kr = np.empty(n)
     theta, dtheta, dkr = (np.empty(n), np.empty(n), np.empty(n)) \
@@ -266,11 +263,6 @@ class Discretization:
     entry-to-slot map into the pattern's data. Only assemble_jacobian
     needs the kr derivatives; residual, assemble and face_fluxes
     evaluate kr alone.
-
-    On TPFA, whose stencils have at most two entries, the flux operator
-    gives bitwise the sums of the stencils taken entry by entry. On
-    MPFA-O it adds a stencil's entries left to right, a different order
-    from np.add.reduceat's, so results can differ in the last digits.
     """
 
     def __init__(self, spec, scheme="tpfa"):
@@ -290,8 +282,8 @@ class Discretization:
             from ._mpfa import mpfa_o_stencils
             stencils = mpfa_o_stencils(spec, *bt)
         self.face_ids, self.ptr, self.col, self.w, self.g = stencils
-        self.cell_l = mesh.face_cells[self.face_ids, 0].copy()
-        self.cell_r = mesh.face_cells[self.face_ids, 1].copy()
+        self.cell_l = mesh.face_cells[self.face_ids, 0]
+        self.cell_r = mesh.face_cells[self.face_ids, 1]
         # fixed face topology: the Dirichlet faces (cell_r < 0), the right
         # cell clamped to 0 on them, the interior faces and their right
         # cells
@@ -306,13 +298,12 @@ class Discretization:
                        self.neu_vals * mesh.face_length[self.neu_faces])
 
         # Dirichlet-face kr, evaluated once at the boundary head with the
-        # adjacent cell's geometry (modeling choice; heads are fixed)
+        # adjacent cell's geometry (modeling choice; heads are fixed);
+        # face_ids[dir_at] is dir_faces, as both ascend by face
         self.kr_dir = np.zeros(len(self.face_ids))
         at = self.dir_at
-        h_dir = self.dir_vals[np.searchsorted(self.dir_faces,
-                                              self.face_ids[at])]
-        self.kr_dir[at] = _curves(_by_medium(spec, self.cell_l[at]), h_dir,
-                                  False)[2]
+        self.kr_dir[at] = _curves(_by_medium(spec, self.cell_l[at]),
+                                  self.dir_vals, False)[2]
 
         self.groups = _by_medium(spec, np.arange(self.n_cells))
         self.mode_code = {"central": 0, "upwind": 1}[spec.kr_mode]
@@ -396,8 +387,11 @@ class Discretization:
             self.mode_code, need_deriv)
 
     def _scatter(self, values):
-        return _kernels.scatter_faces(values, self.cell_l, self.int_faces,
-                                      self.int_r, self.n_cells)
+        """Signed per-cell sums of face values: + on each face's first
+        cell, - on the second cell of each interior face."""
+        n = self.n_cells
+        return np.bincount(self.cell_l, values, minlength=n) - \
+            np.bincount(self.int_r, values[self.int_faces], minlength=n)
 
     def _residual(self, flux0, K):
         """F = A h - b from the face base fluxes and permeabilities."""
@@ -420,13 +414,12 @@ class Discretization:
         entries of interior faces, on the same pattern as A."""
         flux0, K, dk_l, dk_r = self._face_system(h, q, kind, True)
         data = self._a_data(K)
-        if q != 0.0:  # at q = 0 K is constant, so J is A (bitwise)
-            fi = self.int_faces
-            fl = flux0[fi]
-            jl, jr = dk_l[fi] * fl, dk_r[fi] * fl
-            data += np.bincount(self.pattern.j_slot,
-                                np.concatenate([jl, jr, -jl, -jr]),
-                                minlength=len(data))
+        fi = self.int_faces
+        fl = flux0[fi]
+        jl, jr = dk_l[fi] * fl, dk_r[fi] * fl
+        data += np.bincount(self.pattern.j_slot,
+                            np.concatenate([jl, jr, -jl, -jr]),
+                            minlength=len(data))
         J = self._matrix(data)
         if with_residual:
             return J, self._residual(flux0, K)

@@ -7,9 +7,12 @@ permutation P for a sparsity pattern, found once by minimum degree on
 the pattern of A^T + A, and solve factors P A P^T in its natural order.
 A Discretization keeps one Ordering for the fixed pattern of all its
 matrices; a solve given no Ordering builds one from A's own pattern.
-A float CSR matrix of the Ordering's pattern skips the input checks,
-which the Ordering made once, and is laid into the Ordering's own
-P A P^T matrix (see Ordering).
+Every solve takes one path: A is checked (square, no empty row) and
+brought to canonical float CSR form, then compared with the Ordering's
+pattern and laid into the Ordering's own P A P^T matrix (see
+Ordering). A matrix a Discretization assembles is already in that form
+and shares the Ordering's index arrays, so both steps leave it as it is
+and compare nothing.
 SuperLU factors without relaxed supernodes and with panels of one
 column (RELAX, PANEL_SIZE): performance parameters only, which leave
 the factors' nonzeros unchanged and store no padding zeros. The true
@@ -76,8 +79,7 @@ class Ordering:
     factorization that keeps almost nothing yields the same order as a
     full one at about a third of the cost. gather lays the data of any
     matrix of the pattern out as the CSC data of P A P^T, whose
-    structure is csc_indices and csc_indptr. empty_row is the first row
-    of the pattern without entries, or None.
+    structure is csc_indices and csc_indptr.
 
     An Ordering owns one P A P^T matrix, PAPt, whose data every solve
     with it refills, so solve must not run concurrently on one
@@ -96,7 +98,6 @@ class Ordering:
             raise ValueError(
                 "an ordering needs a pattern with sorted indices and no "
                 "duplicates")
-        self.empty_row = _first_empty_row(self.indptr)
         standin = sps.csr_matrix((np.full(nnz, -1.0), self.indices,
                                   self.indptr), shape=self.shape) + \
             sps.diags(np.diff(self.indptr) + 1.0)
@@ -132,36 +133,26 @@ def _same(a, b):
     return a is b or np.array_equal(a, b)
 
 
-def _check_rhs(b, n):
-    b = np.asarray(b, dtype=float)
-    if b.shape != (n,):
-        raise ValueError(f"right-hand side shape {b.shape} != ({n},)")
-    return b
-
-
 def _check_matrix(A, b):
+    """A as a canonical float CSR matrix and b as a float vector, once
+    A is known to be square without empty rows and b to fit it. A float
+    CSR matrix in canonical format is returned as it is."""
     if not sps.issparse(A):
         A = sps.csr_matrix(np.asarray(A, dtype=float))
     A = A.tocsr()
     n, m2 = A.shape
     if n != m2:
         raise ValueError(f"matrix must be square, got {n}x{m2}")
-    b = _check_rhs(b, n)
-    _refuse_empty_row(_first_empty_row(A.indptr))
+    b = np.asarray(b, dtype=float)
+    if b.shape != (n,):
+        raise ValueError(f"right-hand side shape {b.shape} != ({n},)")
+    empty = np.flatnonzero(np.diff(A.indptr) == 0)
+    if len(empty):
+        raise SingularMatrixError(f"matrix row {empty[0]} is empty")
     if not A.has_canonical_format:
         A = A.copy()
         A.sum_duplicates()
     return A.astype(float, copy=False), b
-
-
-def _first_empty_row(indptr):
-    empty = np.nonzero(np.diff(indptr) == 0)[0]
-    return int(empty[0]) if len(empty) else None
-
-
-def _refuse_empty_row(row):
-    if row is not None:
-        raise SingularMatrixError(f"matrix row {row} is empty")
 
 
 def solve(A, b, order=None):
@@ -172,9 +163,8 @@ def solve(A, b, order=None):
     A : real scipy sparse matrix (or array-like convertible to one)
     b : vector
     order : Ordering of A's sparsity pattern, or None to build one from
-        A (the same permutation either way). A float CSR matrix with
-        exactly order's pattern is used as it is; any other A is first
-        converted to a canonical float CSR matrix.
+        A (the same permutation either way). A is brought to canonical
+        float CSR form; a matrix already in it is used as it is.
 
     Returns
     -------
@@ -189,20 +179,14 @@ def solve(A, b, order=None):
         a failed factorization, or a relative residual that is not
         finite or not below MAX_REL_RESIDUAL.
     """
-    matched = order is not None and order.matches(A) and \
-        A.dtype == np.float64
-    if matched:
-        b = _check_rhs(b, order.shape[0])
-        _refuse_empty_row(order.empty_row)
-    else:
-        A, b = _check_matrix(A, b)
+    A, b = _check_matrix(A, b)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(A.shape[0]), LinearSolveReport(0, 0.0, False,
                                                        "trivial")
     if order is None:
         order = Ordering(A.indptr, A.indices)
-    elif not (matched or order.matches(A)):
+    elif not order.matches(A):
         raise ValueError(
             f"ordering was built for a {order.shape[0]}x{order.shape[1]} "
             f"pattern with {len(order.indices)} entries, not for this "

@@ -66,32 +66,31 @@ def write_vtk(snapshot, path):
     """Write a legacy-VTK ASCII unstructured grid with the four cell
     data arrays head, psi, saturation, kr."""
     mesh = snapshot.mesh
+    n = mesh.n_cells
+    ptr = mesh.cell_ptr.tolist()
+    verts = mesh.cell_vert.tolist()
+    sizes = np.diff(mesh.cell_ptr).tolist()
     try:
         fh = open(path, "w")
     except OSError as exc:
         raise OSError(f"cannot write VTK file {path}: {exc}") from None
+    # each section is written as it is formatted, so the file's text is
+    # never held whole
     with fh:
-        fh.write("# vtk DataFile Version 2.0\n")
-        fh.write("richardsfv fields\n")
-        fh.write("ASCII\n")
-        fh.write("DATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {mesh.n_vertices} double\n")
-        for x, z in mesh.vertices:
-            fh.write(f"{float(x)!r} {float(z)!r} 0.0\n")
-        sizes = [len(mesh.cell_vertices(c)) for c in range(mesh.n_cells)]
-        fh.write(f"CELLS {mesh.n_cells} {mesh.n_cells + sum(sizes)}\n")
-        for c in range(mesh.n_cells):
-            vs = mesh.cell_vertices(c)
-            fh.write("%d %s\n" % (len(vs), " ".join(str(v) for v in vs)))
-        fh.write(f"CELL_TYPES {mesh.n_cells}\n")
-        for k in sizes:
-            fh.write(f"{_VTK_CELL_TYPES.get(k, 7)}\n")
-        fh.write(f"CELL_DATA {mesh.n_cells}\n")
+        fh.write("# vtk DataFile Version 2.0\nrichardsfv fields\nASCII\n"
+                 "DATASET UNSTRUCTURED_GRID\n"
+                 f"POINTS {mesh.n_vertices} double\n")
+        fh.writelines(f"{x!r} {z!r} 0.0\n" for x, z in mesh.vertices.tolist())
+        fh.write(f"CELLS {n} {n + len(verts)}\n")
+        fh.writelines(" ".join(map(str, [k, *verts[a:b]])) + "\n"
+                      for k, a, b in zip(sizes, ptr, ptr[1:]))
+        fh.write(f"CELL_TYPES {n}\n")
+        fh.writelines(f"{_VTK_CELL_TYPES.get(k, 7)}\n" for k in sizes)
+        fh.write(f"CELL_DATA {n}\n")
         for name in ("head", "psi", "saturation", "kr"):
-            fh.write(f"SCALARS {name} double 1\n")
-            fh.write("LOOKUP_TABLE default\n")
-            for v in getattr(snapshot, name):
-                fh.write(f"{float(v)!r}\n")
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            values = np.asarray(getattr(snapshot, name), dtype=float)
+            fh.writelines(f"{v!r}\n" for v in values.tolist())
 
 
 def write_convergence_csv(trace, path):

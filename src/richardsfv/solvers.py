@@ -208,13 +208,13 @@ def solve_nonlinear(disc, h0, q, kind, cfg=None):
 
     F = disc.residual(h, q, kind)
     res2 = float(np.linalg.norm(F))
-    resinf = float(np.abs(F).max()) if len(F) else 0.0
+    resinf = float(np.abs(F).max())
     trace = ConvergenceTrace()
     trace.records.append(IterationRecord(0, "init", res2, resinf, 0.0, 0,
                                          0.0))
     res2_0 = res2
 
-    if resinf < cfg.eps_abs or res2 == 0.0:
+    if resinf < cfg.eps_abs:
         trace.outcome = CONVERGED
         return h, trace
 

@@ -1,6 +1,7 @@
 """Preset builders: dam tensor, boundary assignment, verification cases."""
 
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from richardsfv.benchmarks import (build_dam, build_layered_slab,
                                    build_preset, build_verification_linear,
                                    dam_conductivity, dam_mesh, preset_names)
 from richardsfv.constitutive import UnconfinedParams, VgmParams
-from richardsfv.mesh import Mesh2D
+from richardsfv.mesh import Mesh2D, build_mesh
 
 
 def test_dam_tensor_entries():
@@ -69,6 +70,20 @@ def test_layered_slab_rejects_too_coarse_mesh():
     with pytest.raises(ValueError) as err:
         build_layered_slab("cartesian:2x2")
     assert str(err.value) == COARSE
+
+
+@pytest.mark.parametrize("build", [partial(build_dam, "vgm"),
+                                   build_layered_slab])
+def test_mesh_without_right_tag_is_named(build):
+    # one square tagged 'left' and 'side': the missing tag is the fault,
+    # not the coarseness
+    mesh = build_mesh([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
+                      [(0, 1, 2, 3)],
+                      {(0, 3): "left", (0, 1): "side", (1, 2): "side",
+                       (2, 3): "side"})
+    with pytest.raises(ValueError,
+                       match=r"^mesh has no boundary face tagged 'right'$"):
+        build(mesh=mesh)
 
 
 def test_dam_mesh_choices():

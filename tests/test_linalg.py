@@ -7,7 +7,8 @@ import scipy.sparse.linalg as spla
 
 from richardsfv.benchmarks import build_dam
 from richardsfv.discretization import Discretization
-from richardsfv.linalg import Ordering, SingularMatrixError, solve
+from richardsfv.linalg import (Ordering, SingularMatrixError, _check_matrix,
+                               solve)
 
 
 def lap1d(n):
@@ -266,6 +267,23 @@ def test_lu_nnz_is_the_fill_of_a_dam_jacobian(scheme):
     assert lu.nnz > rep.lu_nnz  # the default options pad
 
 
+@pytest.mark.parametrize("scheme", ["tpfa", "mpfa-o"])
+def test_assembled_matrices_pass_the_checks_as_they_are(scheme):
+    # every solve checks its matrix; on the matrices a Discretization
+    # assembles the checks copy nothing and the pattern comparison is
+    # an identity test, so the one path stays cheap
+    disc = Discretization(build_dam("vgm", "triangular:8x8"), scheme)
+    h = np.linspace(2.0, 10.0, disc.n_cells)
+    b = np.ones(disc.n_cells)
+    order = disc.order
+    for M in (disc.assemble(h, 0.7, "power").A,
+              disc.assemble_jacobian(h, 0.7, "power")):
+        checked, _ = _check_matrix(M, b)
+        assert checked is M
+        assert M.indptr is order.indptr and M.indices is order.indices
+        assert order.matches(M)
+
+
 # -- solves through an Ordering's own P A P^T --------------------------
 
 def test_empty_row_through_an_ordering():
@@ -273,7 +291,6 @@ def test_empty_row_through_an_ordering():
                                  [0.0, 1.0, 3.0]]))
     A.eliminate_zeros()
     order = Ordering(A.indptr, A.indices)
-    assert order.empty_row == 1
     for o in (None, order):
         with pytest.raises(SingularMatrixError,
                            match=r"^matrix row 1 is empty$"):

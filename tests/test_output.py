@@ -22,9 +22,10 @@ def single_cell_snapshot():
 
 
 def parse_vtk_cell_count(path):
-    for line in open(path):
-        if line.startswith("CELLS "):
-            return int(line.split()[1])
+    with open(path) as fh:
+        for line in fh:
+            if line.startswith("CELLS "):
+                return int(line.split()[1])
     raise AssertionError("no CELLS section")
 
 
