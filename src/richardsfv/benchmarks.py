@@ -59,33 +59,37 @@ def dam_conductivity(k0=DAM_K0, angle=DAM_ANGLE, ratio=DAM_ANISOTROPY):
                      [off, k0 * (s * s + ratio * c * c)]])
 
 
+# Named dam grids as (generator, NX, NZ): '5500' is the closest square
+# grid to the nominal 5500 (5476 cells), '1900' has 1922 triangles.
+DAM_GRIDS = {
+    "400": ("cartesian", 20, 20),
+    "6400": ("cartesian", 80, 80),
+    "5500": ("cartesian", 74, 74),
+    "1900": ("triangular", 31, 31),
+}
+# The generator of a 'KIND:NXxNZ' choice, called as gen(NX, NZ, W, H).
+GENERATORS = {"cartesian": gen_cartesian, "triangular": gen_triangular}
+
+
 def dam_mesh(choice):
-    """Resolve a named dam mesh: '400', '6400', '5500' (74x74 = 5476
-    cells, the closest square grid to the nominal 5500), '1900'
-    (31x31 triangulated = 1922 cells), or 'cartesian:NXxNZ' /
-    'triangular:NXxNZ'."""
-    named = {
-        "400": ("cartesian", 20, 20),
-        "6400": ("cartesian", 80, 80),
-        "5500": ("cartesian", 74, 74),
-        "1900": ("triangular", 31, 31),
-    }
-    if choice in named:
-        kind, nx, nz = named[choice]
+    """The 10 m dam square meshed as `choice`, a name of DAM_GRIDS or
+    'KIND:NXxNZ' with KIND in GENERATORS; a Mesh2D passes unchanged."""
+    if not isinstance(choice, str):
+        return choice
+    if choice in DAM_GRIDS:
+        kind, nx, nz = DAM_GRIDS[choice]
     else:
         try:
             kind, dims = choice.split(":")
             nx, nz = (int(d) for d in dims.lower().split("x"))
         except ValueError:
+            forms = " / ".join(f"'{k}:NXxNZ'" for k in GENERATORS)
             raise ValueError(
                 f"cannot parse mesh choice {choice!r}; expected one of "
-                f"{sorted(named)} or 'cartesian:NXxNZ' / 'triangular:NXxNZ'"
-            ) from None
-    if kind == "cartesian":
-        return gen_cartesian(nx, nz, DAM_SIZE, DAM_SIZE)
-    if kind == "triangular":
-        return gen_triangular(nx, nz, DAM_SIZE, DAM_SIZE)
-    raise ValueError(f"unknown mesh kind {kind!r}")
+                f"{sorted(DAM_GRIDS)} or {forms}") from None
+    if kind not in GENERATORS:
+        raise ValueError(f"unknown mesh kind {kind!r}")
+    return GENERATORS[kind](nx, nz, DAM_SIZE, DAM_SIZE)
 
 
 def _split_right_boundary(mesh, z_cut):
@@ -113,9 +117,7 @@ def build_dam(model="unconfined", mesh="400", kr_mode="central",
     model is "unconfined" or "vgm"; mesh a Mesh2D or a choice string
     accepted by dam_mesh().
     """
-    if isinstance(mesh, str):
-        mesh = dam_mesh(mesh)
-    mesh = _split_right_boundary(mesh, DAM_H_RIGHT)
+    mesh = _split_right_boundary(dam_mesh(mesh), DAM_H_RIGHT)
     if model == "unconfined":
         cm = unconfined
     elif model == "vgm":
@@ -144,8 +146,7 @@ def build_verification_linear(mesh, K=None, a=1.0, b=2.0, c=50.0,
     field. MPFA-O must reproduce it on any grid; TPFA only on
     K-orthogonal ones.
     """
-    if isinstance(mesh, str):
-        mesh = dam_mesh(mesh)
+    mesh = dam_mesh(mesh)
     if K is None:
         K = dam_conductivity()
 
@@ -176,9 +177,7 @@ def build_layered_slab(mesh="400", kr_mode="central",
     m/day bottom to top, dam-style boundary conditions. Exercises strong
     heterogeneity; it does not model any real site.
     """
-    if isinstance(mesh, str):
-        mesh = dam_mesh(mesh)
-    mesh = _split_right_boundary(mesh, DAM_H_RIGHT)
+    mesh = _split_right_boundary(dam_mesh(mesh), DAM_H_RIGHT)
     height = mesh.vertices[:, 1].max()
     media = tuple(
         Medium(f"layer{i}", np.diag([k, SLAB_ANISOTROPY * k]), unconfined)

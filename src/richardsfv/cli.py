@@ -12,7 +12,7 @@ import os
 import sys
 from dataclasses import fields, replace
 
-from .benchmarks import build_preset, preset_names
+from .benchmarks import DAM_GRIDS, GENERATORS, build_preset, preset_names
 from .continuation import (ContinuationConfig, make_entries,
                            run_continuation, sweep)
 from .discretization import SCHEMES, Discretization
@@ -68,9 +68,9 @@ def _build_parser():
                                          "with bracket sections)")
     common.add_argument("--preset", help="problem preset: " +
                                          ", ".join(preset_names()))
-    common.add_argument("--mesh", help="mesh: 'cartesian:NXxNZ', "
-                                       "'triangular:NXxNZ', a named dam "
-                                       "grid (400/6400/5500/1900), or a "
+    forms = "".join(f"'{kind}:NXxNZ', " for kind in GENERATORS)
+    common.add_argument("--mesh", help=f"mesh: {forms}a named dam grid "
+                                       f"({'/'.join(DAM_GRIDS)}), or a "
                                        "mesh file path")
     common.add_argument("--out", help="output directory")
 

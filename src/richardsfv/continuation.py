@@ -1,7 +1,7 @@
 """Nonlinearity continuation driver and solver-comparison sweeps.
 
-The driver first solves the q = 0 problem (fully saturated, linear for
-the linear flux schemes), then walks q toward 1 with an adaptive step:
+The driver's first level is q = 0 (fully saturated, linear for the
+linear flux schemes), then q walks toward 1 with an adaptive step:
 doubling after a successful nonlinear solve, halving after a failed one,
 always restarting a failed step from the last accepted state. Every
 attempted step keeps its full convergence trace, which is the data
@@ -108,10 +108,11 @@ def _state_hash(h):
 def run_continuation(disc, solver_cfg=None, cont_cfg=None, h0=None):
     """Drive the continuation from q = 0 to q = 1 on a Discretization.
 
-    The initial guess defaults to the constant mean of the Dirichlet
-    boundary heads. Returns (h, ContinuationReport); report.success is
-    True only when the q = 1 problem converged. A failed q = 0 stage is
-    fatal (no retry), since every later stage depends on its solution.
+    q = 0 is the first level of one attempt loop; each attempt starts
+    from the last accepted state, at first h0 (default: the mean of the
+    Dirichlet boundary heads). Returns (h, ContinuationReport);
+    report.success is True only when the q = 1 problem converged. A
+    failed q = 0 level is fatal (no retry): its own iterate is returned.
     """
     solver_cfg = solver_cfg or SolverConfig()
     cont_cfg = cont_cfg or ContinuationConfig()
@@ -120,40 +121,31 @@ def run_continuation(disc, solver_cfg=None, cont_cfg=None, h0=None):
     report = ContinuationReport()
     h = np.array(h0, dtype=float, copy=True) if h0 is not None \
         else np.full(disc.n_cells, float(np.mean(disc.dir_vals)))
-
-    h_init_hash = _state_hash(h)
-    h_new, trace = solve_nonlinear(disc, h, 0.0, kind, solver_cfg)
-    report.steps.append(StepRecord(0.0, trace.outcome, trace.iterations,
-                                   trace, h_init_hash, _state_hash(h_new)))
-    if trace.outcome != CONVERGED:
-        return h_new, report
-    h = h_new
-
-    q_cur = 0.0
-    dq = cont_cfg.dq_init
-    while q_cur < 1.0:
-        if len(report.steps) - 1 >= cont_cfg.max_steps:
-            break
-        q_next = min(1.0, q_cur + dq)
-        guess_hash = _state_hash(h)
+    h_hash = _state_hash(h)
+    q_cur, q_next, dq = 0.0, 0.0, cont_cfg.dq_init
+    while True:
         h_try, trace = solve_nonlinear(disc, h, q_next, kind, solver_cfg)
         rec = StepRecord(q_next, trace.outcome, trace.iterations, trace,
-                         guess_hash, _state_hash(h_try))
+                         h_hash, _state_hash(h_try))
         report.steps.append(rec)
         if rec.success:
-            q_cur = q_next
-            h = h_try
-            dq = dq * cont_cfg.increase
-            remaining = 1.0 - q_cur
-            if 0.0 < remaining < dq:
+            if q_next > 0.0:  # the first step past q = 0 is dq_init
                 # cap so a failure at q=1 halves to a genuinely new target
-                dq = remaining
+                dq = min(dq * cont_cfg.increase, 1.0 - q_next)
+            q_cur, h, h_hash = q_next, h_try, rec.final_hash
+            if q_cur >= 1.0:
+                break
+        elif q_next == 0.0:
+            return h_try, report
         else:
             # discard the failed iterate entirely; h stays at the last
             # accepted state
             dq *= cont_cfg.decrease
             if dq < cont_cfg.dq_min:
                 break
+        if len(report.steps) - 1 >= cont_cfg.max_steps:
+            break
+        q_next = min(1.0, q_cur + dq)
     report.final_q = q_cur
     report.success = q_cur >= 1.0
     return h, report

@@ -360,16 +360,16 @@ def write_mesh(mesh, path):
     ``v <x> <z>``, cell lines ``c <k> <v1> ... <vk>``, and one
     ``b <va> <vb> <tag>`` line per tagged boundary face.
     """
+    ptr = mesh.cell_ptr.tolist()
+    verts = mesh.cell_vert.tolist()
+    bf = mesh.boundary_faces
     with open(path, "w") as fh:
         fh.write(f"MESH2D {mesh.n_vertices} {mesh.n_cells}\n")
-        for x, z in mesh.vertices:
-            fh.write(f"v {float(x)!r} {float(z)!r}\n")
-        for c in range(mesh.n_cells):
-            vs = mesh.cell_vertices(c)
-            fh.write("c %d %s\n" % (len(vs), " ".join(str(v) for v in vs)))
-        for f in mesh.boundary_faces:
-            a, b = mesh.face_vertices[f]
-            fh.write(f"b {a} {b} {mesh.face_tag[f]}\n")
+        fh.writelines(f"v {x!r} {z!r}\n" for x, z in mesh.vertices.tolist())
+        fh.writelines(f"c {b - a} {' '.join(map(str, verts[a:b]))}\n"
+                      for a, b in zip(ptr, ptr[1:]))
+        fh.writelines(f"b {a} {b} {tag}\n" for (a, b), tag in
+                      zip(mesh.face_vertices[bf].tolist(), mesh.face_tag[bf]))
 
 
 def read_mesh(path):
@@ -410,6 +410,8 @@ def read_mesh(path):
                     fail(lineno, "vertex line needs 2 coordinates")
                 verts.append((float(parts[1]), float(parts[2])))
             elif kind == "c":
+                if len(parts) < 2:
+                    fail(lineno, "cell line needs 'c <k> <v1> ... <vk>'")
                 k = int(parts[1])
                 if len(parts) != 2 + k:
                     fail(lineno, f"cell line announces {k} vertices "

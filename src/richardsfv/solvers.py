@@ -109,9 +109,8 @@ class SolverConfig:
 
     @property
     def pure_newton(self):
-        """True when every iteration is a Newton step."""
-        return self.method == "newton" or \
-            (self.method == "mixed" and self.nit_pic == 0)
+        """True when every step is Newton; Picard steps come first."""
+        return _phase(self, 1) == "newton"
 
 
 @dataclass
@@ -220,11 +219,9 @@ def solve_nonlinear(disc, h0, q, kind, cfg=None):
 
     for k in range(1, cfg.nit_max + 1):
         phase = _phase(cfg, k)
+        step = picard_step if phase == "picard" else newton_step
         try:
-            if phase == "picard":
-                dh, rep = picard_step(disc, h, q, kind)
-            else:
-                dh, rep = newton_step(disc, h, q, kind)
+            dh, rep = step(disc, h, q, kind)
         except linalg.SingularMatrixError:
             trace.outcome = LINEAR_SOLVE_FAILED
             return h, trace

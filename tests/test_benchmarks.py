@@ -92,10 +92,20 @@ def test_dam_mesh_choices():
     assert dam_mesh("5500").n_cells == 5476  # 74x74, nominal 5500
     assert dam_mesh("1900").n_cells == 1922  # 31x31 triangulated
     assert dam_mesh("triangular:4x5").n_cells == 40
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown mesh kind 'hexagonal'$"):
         dam_mesh("hexagonal:3x3")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         dam_mesh("nonsense")
+    assert str(exc.value) == (
+        "cannot parse mesh choice 'nonsense'; expected one of "
+        "['1900', '400', '5500', '6400'] or 'cartesian:NXxNZ' / "
+        "'triangular:NXxNZ'")
+
+
+def test_dam_mesh_passes_a_mesh_through():
+    mesh = dam_mesh("cartesian:4x4")
+    assert dam_mesh(mesh) is mesh
+    assert build_dam(mesh=mesh).mesh.n_cells == 16
 
 
 def test_verification_linear_saturation_guard():

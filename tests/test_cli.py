@@ -204,6 +204,25 @@ def test_mesh_file_input(tmp_path):
     assert rc == 0
 
 
+def test_mesh_help_reads_the_grid_tables(capsys):
+    assert run_cli("solve", "--help") == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("--mesh MESH mesh: 'cartesian:NXxNZ', 'triangular:NXxNZ', a "
+            "named dam grid (400/6400/5500/1900), or a mesh file path") \
+        in text
+
+
+def test_malformed_mesh_file_exit_1(tmp_path, capsys):
+    mpath = tmp_path / "bare.msh"
+    mpath.write_text("MESH2D 3 1\nv 0 0\nv 1 0\nv 0 1\nc\n")
+    rc = run_cli("solve", "--preset", "dam-unconfined",
+                 "--mesh", str(mpath), "--out", str(tmp_path / "o"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {mpath}:5: ")
+    assert "Traceback" not in err
+
+
 def test_sweep_full_matrix(tmp_path, capsys):
     out = tmp_path / "sw"
     rc = run_cli("sweep", "--preset", "dam-unconfined",

@@ -151,6 +151,35 @@ def test_q0_failure_is_fatal(dam_disc, monkeypatch):
     assert calls == [0.0]
 
 
+def test_q0_failure_returns_q0_iterate(dam_disc, monkeypatch):
+    fake, _ = _scripted(lambda q, n: MAX_ITERATIONS)
+    monkeypatch.setattr(cont_mod, "solve_nonlinear", fake)
+    h, rep = run_continuation(dam_disc, SolverConfig(), ContinuationConfig())
+    h0 = np.full(dam_disc.n_cells, float(np.mean(dam_disc.dir_vals)))
+    np.testing.assert_array_equal(h, h0 + 1.0)
+    assert rep.final_q == 0.0 and not rep.success
+    assert rep.steps[0].final_hash == cont_mod._state_hash(h0 + 1.0)
+
+
+def test_one_state_hash_per_attempt_plus_guess(dam_disc, monkeypatch):
+    # the guess of an attempt is the last accepted state, whose hash is
+    # that step's final_hash: k attempts hash k + 1 states
+    def outcomes(q, n):
+        return MAX_ITERATIONS if n == 1 else CONVERGED
+
+    fake, calls = _scripted(outcomes)
+    monkeypatch.setattr(cont_mod, "solve_nonlinear", fake)
+    hashed = []
+    state_hash = cont_mod._state_hash
+    monkeypatch.setattr(cont_mod, "_state_hash",
+                        lambda h: hashed.append(1) or state_hash(h))
+    _, rep = run_continuation(dam_disc, SolverConfig(), ContinuationConfig())
+    assert calls == [0.0, 1.0, 0.5, 1.0]
+    assert len(hashed) == len(rep.steps) + 1 == 5
+    assert [s.initial_hash for s in rep.steps[1:]] == \
+        [rep.steps[0].final_hash] * 2 + [rep.steps[2].final_hash]
+
+
 def test_initial_guess_is_dirichlet_mean(dam_disc, monkeypatch):
     seen = {}
 

@@ -164,6 +164,20 @@ def test_roundtrip_triangular(tmp_path):
     assert np.allclose(m2.face_normal, m.face_normal)
 
 
+def test_write_mesh_exact_bytes(tmp_path):
+    path = tmp_path / "tri.msh"
+    write_mesh(gen_triangular(3, 1, 1.0, 0.5), path)
+    assert path.read_text() == (
+        "MESH2D 8 6\n"
+        "v 0.0 0.0\nv 0.3333333333333333 0.0\nv 0.6666666666666666 0.0\n"
+        "v 1.0 0.0\nv 0.0 0.5\nv 0.3333333333333333 0.5\n"
+        "v 0.6666666666666666 0.5\nv 1.0 0.5\n"
+        "c 3 0 1 5\nc 3 0 5 4\nc 3 1 2 5\nc 3 2 6 5\nc 3 2 3 7\n"
+        "c 3 2 7 6\n"
+        "b 0 1 bottom\nb 5 4 top\nb 4 0 left\nb 1 2 bottom\nb 6 5 top\n"
+        "b 2 3 bottom\nb 3 7 right\nb 7 6 top\n")
+
+
 def test_read_empty_file(tmp_path):
     path = tmp_path / "empty.msh"
     path.write_text("")
@@ -189,6 +203,14 @@ def test_read_malformed_number_names_line(tmp_path):
     path = tmp_path / "badnum.msh"
     path.write_text("MESH2D 1 0\nv 0 zz\n")
     with pytest.raises(MeshFormatError, match=":2:"):
+        read_mesh(path)
+
+
+def test_read_cell_line_without_count_names_line(tmp_path):
+    path = tmp_path / "bare.msh"
+    path.write_text("MESH2D 3 1\nv 0 0\nv 1 0\nv 0 1\nc\n")
+    with pytest.raises(MeshFormatError,
+                       match=re.escape(f"{path}:5: cell line needs")):
         read_mesh(path)
 
 
