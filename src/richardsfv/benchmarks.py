@@ -12,6 +12,7 @@ theta_s = 0.4, alpha = 1 1/m) are artifact defaults, configurable per
 call.
 """
 
+import os
 from dataclasses import replace
 from functools import partial
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .constitutive import UnconfinedParams, VgmParams
 from .discretization import Medium, ProblemSpec
-from .mesh import gen_cartesian, gen_triangular
+from .mesh import gen_cartesian, gen_triangular, read_mesh
 
 __all__ = [
     "dam_conductivity",
@@ -72,8 +73,10 @@ GENERATORS = {"cartesian": gen_cartesian, "triangular": gen_triangular}
 
 
 def dam_mesh(choice):
-    """The 10 m dam square meshed as `choice`, a name of DAM_GRIDS or
-    'KIND:NXxNZ' with KIND in GENERATORS; a Mesh2D passes unchanged."""
+    """The mesh `choice` names, tried in this order: a Mesh2D passes
+    unchanged; a name of DAM_GRIDS or 'KIND:NXxNZ' with KIND in GENERATORS
+    meshes the 10 m dam square; any other string with os.sep in it or
+    naming an existing path is read as a mesh file, as './400' is."""
     if not isinstance(choice, str):
         return choice
     if choice in DAM_GRIDS:
@@ -83,57 +86,63 @@ def dam_mesh(choice):
             kind, dims = choice.split(":")
             nx, nz = (int(d) for d in dims.lower().split("x"))
         except ValueError:
-            forms = " / ".join(f"'{k}:NXxNZ'" for k in GENERATORS)
-            raise ValueError(
-                f"cannot parse mesh choice {choice!r}; expected one of "
-                f"{sorted(DAM_GRIDS)} or {forms}") from None
-    if kind not in GENERATORS:
+            kind = None
+    if kind in GENERATORS:
+        return GENERATORS[kind](nx, nz, DAM_SIZE, DAM_SIZE)
+    if os.sep in choice or os.path.exists(choice):
+        try:
+            return read_mesh(choice)
+        except OSError as exc:
+            raise ValueError(f"cannot read mesh file: {exc}") from None
+    if kind is not None:
         raise ValueError(f"unknown mesh kind {kind!r}")
-    return GENERATORS[kind](nx, nz, DAM_SIZE, DAM_SIZE)
+    forms = " / ".join(f"'{k}:NXxNZ'" for k in GENERATORS)
+    raise ValueError(f"cannot parse mesh choice {choice!r}; expected one "
+                     f"of {sorted(DAM_GRIDS)} or {forms}")
 
 
-def _split_right_boundary(mesh, z_cut):
-    """Retag 'right' boundary faces: midpoints with z <= z_cut become
-    'right_wet' (Dirichlet head), the rest 'right_dry' (impermeable).
-    A mesh without 'right' faces is refused, one with no wet face as too
-    coarse."""
+def _dam_problem(mesh, media, cell_medium, kr_mode):
+    """The dam's boundary-value problem on `mesh`: head DAM_H_LEFT on
+    'left', DAM_H_RIGHT on the 'right' faces with midpoint z <= DAM_H_RIGHT
+    (retagged 'right_wet', the rest 'right_dry'), no flow elsewhere and
+    no source. A mesh without 'right' faces is refused, one with no wet
+    face as too coarse."""
     tags = mesh.face_tag.copy()
     right = tags == "right"
     if not right.any():
         raise ValueError("mesh has no boundary face tagged 'right'")
-    wet = mesh.face_midpoint[:, 1] <= z_cut + 1e-12
+    wet = mesh.face_midpoint[:, 1] <= DAM_H_RIGHT + 1e-12
     if not (right & wet).any():
         raise ValueError("mesh too coarse: no right-boundary face lies "
-                         f"below z = {z_cut} m")
+                         f"below z = {DAM_H_RIGHT} m")
     tags[right & wet] = "right_wet"
     tags[right & ~wet] = "right_dry"
-    return replace(mesh, face_tag=tags)
+    return ProblemSpec(
+        mesh=replace(mesh, face_tag=tags),
+        media=media,
+        cell_medium=cell_medium,
+        dirichlet={"left": DAM_H_LEFT, "right_wet": DAM_H_RIGHT},
+        source=0.0,
+        kr_mode=kr_mode,
+    )
 
 
 def build_dam(model="unconfined", mesh="400", kr_mode="central",
               vgm=DEFAULT_VGM, unconfined=DEFAULT_UNCONFINED):
     """Modified dam problem as a ProblemSpec.
 
-    model is "unconfined" or "vgm"; mesh a Mesh2D or a choice string
-    accepted by dam_mesh().
+    model is "unconfined" or "vgm"; mesh a Mesh2D, a grid choice or a
+    mesh file path, as dam_mesh() takes it.
     """
-    mesh = _split_right_boundary(dam_mesh(mesh), DAM_H_RIGHT)
+    mesh = dam_mesh(mesh)
     if model == "unconfined":
         cm = unconfined
     elif model == "vgm":
         cm = vgm
     else:
         raise ValueError(f"unknown dam model {model!r}")
-    medium = Medium("dam", dam_conductivity(), cm)
-    return ProblemSpec(
-        mesh=mesh,
-        media=(medium,),
-        cell_medium=np.zeros(mesh.n_cells, dtype=np.int64),
-        dirichlet={"left": DAM_H_LEFT, "right_wet": DAM_H_RIGHT},
-        neumann={},
-        source=0.0,
-        kr_mode=kr_mode,
-    )
+    return _dam_problem(mesh, (Medium("dam", dam_conductivity(), cm),),
+                        np.zeros(mesh.n_cells, dtype=np.int64), kr_mode)
 
 
 def build_verification_linear(mesh, K=None, a=1.0, b=2.0, c=50.0,
@@ -177,7 +186,7 @@ def build_layered_slab(mesh="400", kr_mode="central",
     m/day bottom to top, dam-style boundary conditions. Exercises strong
     heterogeneity; it does not model any real site.
     """
-    mesh = _split_right_boundary(dam_mesh(mesh), DAM_H_RIGHT)
+    mesh = dam_mesh(mesh)
     height = mesh.vertices[:, 1].max()
     media = tuple(
         Medium(f"layer{i}", np.diag([k, SLAB_ANISOTROPY * k]), unconfined)
@@ -186,14 +195,7 @@ def build_layered_slab(mesh="400", kr_mode="central",
     cell_medium = np.minimum(
         (zc / height * len(SLAB_K_VALUES)).astype(np.int64),
         len(SLAB_K_VALUES) - 1)
-    return ProblemSpec(
-        mesh=mesh,
-        media=media,
-        cell_medium=cell_medium,
-        dirichlet={"left": DAM_H_LEFT, "right_wet": DAM_H_RIGHT},
-        source=0.0,
-        kr_mode=kr_mode,
-    )
+    return _dam_problem(mesh, media, cell_medium, kr_mode)
 
 
 # Each preset name and its builder, called as builder(mesh, kr_mode).

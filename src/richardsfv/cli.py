@@ -15,11 +15,11 @@ from dataclasses import fields, replace
 from .benchmarks import DAM_GRIDS, GENERATORS, build_preset, preset_names
 from .continuation import (ContinuationConfig, make_entries,
                            run_continuation, sweep)
-from .discretization import SCHEMES, Discretization
-from .mesh import read_mesh
+from .constitutive import KINDS
+from .discretization import SCHEMES, AssemblyError, Discretization
 from .output import (field_snapshot, format_sweep_table, write_sweep_csv,
                      write_convergence_csv, write_report_csv, write_vtk)
-from .solvers import LineSearchConfig, SolverConfig, WarmupConfig
+from .solvers import METHODS, LineSearchConfig, SolverConfig, WarmupConfig
 
 __all__ = ["main"]
 
@@ -38,8 +38,8 @@ SECTIONS = {
     "warmup": WarmupConfig(),
     "continuation": ContinuationConfig(),
     "output": {"dir": "out"},
-    "sweep": {"schemes": "tpfa,mpfa-o", "solvers": "newton,picard,mixed",
-              "kinds": "linear,power"},
+    "sweep": {"schemes": ",".join(SCHEMES), "solvers": ",".join(METHODS),
+              "kinds": ",".join(KINDS)},
 }
 
 # Each command-line option and the (section, key) it writes over.
@@ -54,6 +54,11 @@ OPTIONS = {
     "solvers": ("sweep", "solvers"),
     "kinds": ("sweep", "kinds"),
 }
+
+
+def _or(names):
+    """'a, b or c' of a table of names."""
+    return f"{', '.join(names[:-1])} or {names[-1]}"
 
 
 def _build_parser():
@@ -76,11 +81,10 @@ def _build_parser():
 
     ps = sub.add_parser("solve", parents=[common],
                         help="run one continuation solve")
-    ps.add_argument("--scheme", help="flux scheme: tpfa or mpfa-o")
-    ps.add_argument("--solver", help="nonlinear method: newton, picard "
-                                     "or mixed")
-    ps.add_argument("--continuation", help="continuation kind: linear "
-                                           "or power")
+    ps.add_argument("--scheme", help=f"flux scheme: {_or(SCHEMES)}")
+    ps.add_argument("--solver", help=f"nonlinear method: {_or(METHODS)}")
+    ps.add_argument("--continuation",
+                    help=f"continuation kind: {_or(KINDS)}")
 
     pw = sub.add_parser("sweep", parents=[common],
                         help="run a scheme x solver x kind comparison")
@@ -164,17 +168,10 @@ def _section_into(cp, section):
 
 
 def _build_problem(cp):
-    """(preset name, ProblemSpec) of the [problem] section; a mesh that
-    names a file is read from it."""
+    """(preset name, ProblemSpec) of the [problem] section."""
     problem = _section_into(cp, "problem")
-    mesh = problem["mesh"]
-    if os.path.sep in mesh or os.path.exists(mesh):
-        try:
-            mesh = read_mesh(mesh)
-        except OSError as exc:
-            raise UsageError(f"cannot read mesh file: {exc}") from None
-    return problem["preset"], build_preset(problem["preset"], mesh,
-                                           problem["mode"])
+    return problem["preset"], build_preset(
+        problem["preset"], problem["mesh"], problem["mode"])
 
 
 def _solver_config(cp):
@@ -261,7 +258,7 @@ def main(argv=None):
             return cmd_solve(args)
         if args.command == "sweep":
             return cmd_sweep(args)
-    except (UsageError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError, AssemblyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 1

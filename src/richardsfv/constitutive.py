@@ -33,6 +33,8 @@ logger = logging.getLogger(__name__)
 
 # Third-branch clamp: theta never drops below phi*alpha_phi*UNCONF_FLOOR.
 UNCONF_FLOOR = 1e-6
+# Continuation kinds; a kind's code for the kernels is its index.
+KINDS = ("linear", "power")
 
 
 @dataclass(frozen=True)
@@ -49,9 +51,9 @@ class VgmParams:
             raise ValueError(
                 f"need 0 <= theta_r < theta_s <= 1, got "
                 f"{self.theta_r}, {self.theta_s}")
-        if self.alpha <= 0.0:
+        if not self.alpha > 0.0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.n <= 1.0:
+        if not self.n > 1.0:
             raise ValueError(f"n must exceed 1, got {self.n}")
 
     @property
@@ -88,7 +90,7 @@ class UnconfinedParams:
         if not 0.0 < self.alpha_phi < 1.0:
             raise ValueError(
                 f"alpha_phi must be in (0, 1), got {self.alpha_phi}")
-        if self.alpha_theta <= 0.0:
+        if not self.alpha_theta > 0.0:
             raise ValueError(
                 f"alpha_theta must be positive, got {self.alpha_theta}")
 
@@ -165,12 +167,10 @@ def continuation_kr(kr_value, q, kind):
 
 
 def _kind_code(kind):
-    try:
-        return {"linear": 0, "power": 1}[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown continuation kind {kind!r} "
-            "(supported: linear, power)") from None
+    if kind not in KINDS:
+        raise ValueError(f"unknown continuation kind {kind!r} "
+                         f"(supported: {', '.join(KINDS)})")
+    return KINDS.index(kind)
 
 
 def cell_curves(model, h, z_centroid, z_min, z_max, need_deriv=True):

@@ -10,7 +10,7 @@ behind the comparison tables.
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,7 +51,7 @@ class ContinuationConfig:
         _kind_code(self.kind)  # raises, naming the supported kinds
         if not 0.0 < self.decrease < 1.0:
             raise ValueError("decrease factor must lie in (0, 1)")
-        if self.increase <= 1.0:
+        if not self.increase > 1.0:
             raise ValueError("increase factor must exceed 1")
         if not 0.0 < self.dq_min <= self.dq_init <= 1.0:
             raise ValueError("need 0 < dq_min <= dq_init <= 1")
@@ -153,11 +153,10 @@ def run_continuation(disc, solver_cfg=None, cont_cfg=None, h0=None):
 
 @dataclass(frozen=True)
 class SweepEntry:
-    """One configuration of the comparison matrix."""
+    """One configuration of the comparison matrix. Its row is labelled
+    with solver_cfg.method and cont_cfg.kind, the configs that run."""
 
     scheme: str
-    solver: str  # label, e.g. "newton" / "picard" / "mixed"
-    kind: str
     solver_cfg: SolverConfig
     cont_cfg: ContinuationConfig
 
@@ -172,21 +171,17 @@ class SweepRow:
     cont_success: int
     cont_failed: int
     total_iters: int
-    report: object = None
-    h: object = None
 
 
 def make_entries(schemes, solvers, kinds, base_solver_cfg=None,
                  base_cont_cfg=None):
     """Cross product of schemes x solver methods x continuation kinds.
     Every method and kind is validated, even with no scheme."""
-    from dataclasses import replace
     solver_cfgs = [replace(base_solver_cfg or SolverConfig(), method=m)
                    for m in solvers]
     cont_cfgs = [replace(base_cont_cfg or ContinuationConfig(), kind=k)
                  for k in kinds]
-    return [SweepEntry(scheme=scheme, solver=sc.method, kind=cc.kind,
-                       solver_cfg=sc, cont_cfg=cc)
+    return [SweepEntry(scheme, sc, cc)
             for scheme in schemes for sc in solver_cfgs for cc in cont_cfgs]
 
 
@@ -199,12 +194,13 @@ def sweep(spec, entries):
     rows = []
     for entry in entries:
         t0 = time.perf_counter()
-        h, report = run_continuation(Discretization(spec, entry.scheme),
+        _, report = run_continuation(Discretization(spec, entry.scheme),
                                      entry.solver_cfg, entry.cont_cfg)
         wall = time.perf_counter() - t0
         rows.append(SweepRow(
-            scheme=entry.scheme, solver=entry.solver, kind=entry.kind,
+            scheme=entry.scheme, solver=entry.solver_cfg.method,
+            kind=entry.cont_cfg.kind,
             outcome="ok" if report.success else "fail", wall_seconds=wall,
             cont_success=report.n_success, cont_failed=report.n_failed,
-            total_iters=report.total_iterations, report=report, h=h))
+            total_iters=report.total_iterations))
     return rows

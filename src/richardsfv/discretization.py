@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 SCHEMES = ("tpfa", "mpfa-o")
+KR_MODES = ("central", "upwind")  # mode_code is the index
 
 
 class AssemblyError(RuntimeError):
@@ -91,7 +92,7 @@ class ProblemSpec:
         if self.cell_medium.min() < 0 or \
                 self.cell_medium.max() >= len(self.media):
             raise ValueError("cell_medium references a missing medium")
-        if self.kr_mode not in ("central", "upwind"):
+        if self.kr_mode not in KR_MODES:
             raise ValueError(f"unknown kr_mode {self.kr_mode!r}")
         tags = set(mesh.tag_names())
         both = set(self.dirichlet) & set(self.neumann)
@@ -306,7 +307,7 @@ class Discretization:
                                   self.dir_vals, False)[2]
 
         self.groups = _by_medium(spec, np.arange(self.n_cells))
-        self.mode_code = {"central": 0, "upwind": 1}[spec.kr_mode]
+        self.mode_code = KR_MODES.index(spec.kr_mode)
 
     @cached_property
     def pattern(self):

@@ -103,10 +103,6 @@ class Mesh2D:
     def boundary_faces(self):
         return np.nonzero(self.face_cells[:, 1] < 0)[0]
 
-    def cell_vertices(self, c):
-        """Vertex indices of cell ``c`` in counter-clockwise order."""
-        return self.cell_vert[self.cell_ptr[c]:self.cell_ptr[c + 1]]
-
     def faces_of_cell(self, c):
         """(face ids, orientation signs) of cell ``c``."""
         sl = slice(self.cell_ptr[c], self.cell_ptr[c + 1])
@@ -132,13 +128,17 @@ def build_mesh(vertices, cells, tag_edges=None):
     Raises
     ------
     MeshTopologyError
-        On out-of-range vertex indices, degenerate cells, or faces shared
-        by more than two cells. Of several faulty cells the lowest-numbered
-        one is reported.
+        On non-finite vertex coordinates, out-of-range vertex indices,
+        degenerate cells, or faces shared by more than two cells. Of
+        several faulty cells the lowest-numbered one is reported.
     """
     vertices = np.array(vertices, dtype=float, order="C")  # ours to freeze
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise MeshTopologyError("vertices must be an (nv, 2) array")
+    bad = ~np.isfinite(vertices).all(axis=1)
+    if bad.any():
+        raise MeshTopologyError(
+            f"vertex {int(bad.argmax())} has a non-finite coordinate")
     nv = len(vertices)
     n_cells = len(cells)
     if n_cells == 0:

@@ -102,7 +102,7 @@ class SolverConfig:
                 f"(supported: {', '.join(METHODS)})")
         if not 0.0 < self.eps_rel < 1.0:
             raise ValueError(f"eps_rel must lie in (0, 1), got {self.eps_rel}")
-        if self.eps_abs <= 0.0 or self.eps_div <= 0.0:
+        if not (self.eps_abs > 0.0 and self.eps_div > 0.0):
             raise ValueError("eps_abs and eps_div must be positive")
         if self.nit_pic < 0 or self.nit_max < 1:
             raise ValueError("need nit_pic >= 0 and nit_max >= 1")

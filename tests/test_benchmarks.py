@@ -1,5 +1,6 @@
 """Preset builders: dam tensor, boundary assignment, verification cases."""
 
+import os
 from dataclasses import fields
 from functools import partial
 
@@ -10,7 +11,7 @@ from richardsfv.benchmarks import (build_dam, build_layered_slab,
                                    build_preset, build_verification_linear,
                                    dam_conductivity, dam_mesh, preset_names)
 from richardsfv.constitutive import UnconfinedParams, VgmParams
-from richardsfv.mesh import Mesh2D, build_mesh
+from richardsfv.mesh import Mesh2D, build_mesh, gen_cartesian, write_mesh
 
 
 def test_dam_tensor_entries():
@@ -106,6 +107,28 @@ def test_dam_mesh_passes_a_mesh_through():
     mesh = dam_mesh("cartesian:4x4")
     assert dam_mesh(mesh) is mesh
     assert build_dam(mesh=mesh).mesh.n_cells == 16
+
+
+@pytest.mark.parametrize("name, n_cells", [("400", 400),
+                                           ("cartesian:5x5", 25)])
+def test_dam_mesh_grid_names_come_before_paths(tmp_path, monkeypatch, name,
+                                                n_cells):
+    monkeypatch.chdir(tmp_path)
+    write_mesh(gen_cartesian(3, 3, 10.0, 10.0), name)
+    assert dam_mesh(name).n_cells == n_cells
+    assert dam_mesh(os.path.join(".", name)).n_cells == 9
+
+
+def test_dam_mesh_unreadable_path():
+    with pytest.raises(ValueError, match="^cannot read mesh file: "):
+        dam_mesh(os.path.join("no", "such.msh"))
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_preset_reads_a_mesh_file(tmp_path, name):
+    path = tmp_path / "dam.msh"
+    write_mesh(gen_cartesian(4, 4, 10.0, 10.0), path)
+    assert build_preset(name, str(path)).mesh.n_cells == 16
 
 
 def test_verification_linear_saturation_guard():

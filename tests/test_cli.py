@@ -8,7 +8,10 @@ import pytest
 
 from richardsfv.benchmarks import dam_mesh
 from richardsfv.cli import _cont_config, _read_config, _solver_config, main
-from richardsfv.cli import OPTIONS, _build_problem
+from richardsfv.cli import OPTIONS, SECTIONS, _build_problem
+from richardsfv.constitutive import KINDS
+from richardsfv.discretization import SCHEMES
+from richardsfv.solvers import METHODS
 from richardsfv.mesh import gen_cartesian, write_mesh
 
 
@@ -221,6 +224,86 @@ def test_malformed_mesh_file_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {mpath}:5: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, n_cells", [("400", 400),
+                                           ("cartesian:5x5", 25)])
+def test_grid_name_not_shadowed_by_a_directory(tmp_path, monkeypatch, capsys,
+                                               name, n_cells):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir(name)
+    assert run_cli("solve", "--preset", "dam-unconfined", "--mesh", name) == 0
+    assert f"CELLS {n_cells} " in Path("out", "solution.vtk").read_text()
+    capsys.readouterr()
+    # ./NAME reaches the directory, which is no mesh file
+    assert run_cli("solve", "--preset", "dam-unconfined",
+                   "--mesh", os.path.join(".", name)) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: cannot read mesh file: ")
+
+
+# two cells meeting along two consecutive faces: vertex 3 has degree 2,
+# where MPFA-O's interaction region is singular
+DEG2_MESH = """MESH2D 7 2
+v 0.0 0.0
+v 2.0 0.0
+v 2.0 1.0
+v 1.0 1.0
+v 0.0 1.0
+v 2.0 2.0
+v 0.0 2.0
+c 5 0 1 2 3 4
+c 5 4 3 2 5 6
+"""
+
+
+@pytest.mark.parametrize("argv", [("solve", "--scheme", "mpfa-o"),
+                                  ("sweep",)])
+def test_mpfa_refusal_is_an_error_line(tmp_path, capsys, argv):
+    mpath = tmp_path / "deg2.msh"
+    mpath.write_text(DEG2_MESH)
+    out = tmp_path / "o"
+    rc = run_cli(*argv, "--preset", "verify-linear", "--mesh", str(mpath),
+                 "--out", str(out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: vertex 3: singular interaction-region system\n"
+    assert "Traceback" not in err
+    assert not (out / "sweep.csv").exists()
+
+
+def test_non_finite_mesh_file_exit_1(tmp_path, capsys):
+    mpath = tmp_path / "nan.msh"
+    mpath.write_text("MESH2D 3 1\nv 0 0\nv nan 0\nv 0 1\nc 3 0 1 2\n")
+    rc = run_cli("solve", "--preset", "verify-linear", "--mesh", str(mpath),
+                 "--out", str(tmp_path / "o"))
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: vertex 1 has a non-finite coordinate\n"
+
+
+def test_nan_config_value_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "nan.ini"
+    cfg.write_text("[solver]\neps_abs = nan\n")
+    rc = run_cli("solve", "--preset", "dam-unconfined",
+                 "--mesh", "cartesian:3x3", "--config", str(cfg),
+                 "--out", str(tmp_path / "o"))
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: config [solver]: eps_abs and eps_div must be positive\n"
+
+
+def test_name_lists_read_the_tables(capsys):
+    assert run_cli("solve", "--help") == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for line in ("--scheme SCHEME flux scheme: tpfa or mpfa-o",
+                 "--solver SOLVER nonlinear method: newton, picard or mixed",
+                 "--continuation CONTINUATION continuation kind: linear or "
+                 "power"):
+        assert line in text
+    assert SECTIONS["sweep"] == {"schemes": ",".join(SCHEMES),
+                                 "solvers": ",".join(METHODS),
+                                 "kinds": ",".join(KINDS)}
 
 
 def test_sweep_full_matrix(tmp_path, capsys):

@@ -233,11 +233,19 @@ def test_sweep_full_matrix():
     rows = sweep(spec, entries)
     assert len(rows) == 12
     assert [(r.scheme, r.solver, r.kind) for r in rows] == \
-        [(e.scheme, e.solver, e.kind) for e in entries]
+        [(e.scheme, e.solver_cfg.method, e.cont_cfg.kind) for e in entries]
     for r in rows:
         assert r.outcome in ("ok", "fail")
         assert r.total_iters >= 0
         assert r.wall_seconds >= 0.0
+
+
+def test_sweep_labels_rows_with_the_configs_that_run():
+    spec = build_dam("unconfined", "cartesian:4x4")
+    entry = SweepEntry("tpfa", SolverConfig(method="newton"),
+                       ContinuationConfig(kind="power"))
+    row, = sweep(spec, [entry])
+    assert (row.scheme, row.solver, row.kind) == ("tpfa", "newton", "power")
 
 
 def test_sweep_empty():
@@ -257,7 +265,7 @@ def test_sweep_failures_are_rows(monkeypatch):
     spec = build_dam("unconfined", "cartesian:4x4")
     cfg = SolverConfig(method="newton", nit_max=1, eps_rel=1e-14,
                        eps_abs=1e-14)
-    entries = [SweepEntry("tpfa", "newton", "power", cfg,
+    entries = [SweepEntry("tpfa", cfg,
                           ContinuationConfig(kind="power", dq_min=0.2))]
     rows = sweep(spec, entries)
     assert rows[0].outcome == "fail"

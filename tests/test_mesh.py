@@ -524,3 +524,19 @@ def test_malformed_cells_reported_as_by_loop(cells, message):
     assert str(ref.value) == message
     with pytest.raises(MeshTopologyError, match=re.escape(message) + "$"):
         build_mesh(_BAD_VERTS, cells)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vertex_refused(bad):
+    verts = [(0.0, 0.0), (1.0, 0.0), (1.0, bad), (bad, 1.0), (0.0, 1.0)]
+    with pytest.raises(MeshTopologyError,
+                       match="^vertex 2 has a non-finite coordinate$"):
+        build_mesh(verts, [[0, 1, 2, 4]])
+
+
+def test_read_non_finite_vertex_refused(tmp_path):
+    path = tmp_path / "nan.msh"
+    path.write_text("MESH2D 3 1\nv 0 0\nv nan 0\nv 0 1\nc 3 0 1 2\n")
+    with pytest.raises(MeshTopologyError,
+                       match="^vertex 1 has a non-finite coordinate$"):
+        read_mesh(path)

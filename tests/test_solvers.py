@@ -1,10 +1,15 @@
 """Nonlinear solver behavior: steps, line search, stopping, traces."""
 
+import re
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
 
 from richardsfv.benchmarks import build_dam
+from richardsfv.constitutive import UnconfinedParams, VgmParams
+from richardsfv.continuation import ContinuationConfig
 from richardsfv.discretization import Discretization
 from richardsfv.solvers import (CONVERGED, DIVERGED, LINE_SEARCH_FAILED,
                                 LINEAR_SOLVE_FAILED, MAX_ITERATIONS,
@@ -285,6 +290,21 @@ def test_solver_config_validation():
         LineSearchConfig(gamma=0.0)
     with pytest.raises(ValueError):
         WarmupConfig(omega_fixed=0.0)
+
+
+@pytest.mark.parametrize("make, name, message", [
+    (SolverConfig, "eps_abs", "eps_abs and eps_div must be positive"),
+    (SolverConfig, "eps_div", "eps_abs and eps_div must be positive"),
+    (ContinuationConfig, "increase", "increase factor must exceed 1"),
+    (partial(VgmParams, theta_r=0.05, theta_s=0.4, alpha=1.0, n=1.2),
+     "alpha", "alpha must be positive, got nan"),
+    (partial(VgmParams, theta_r=0.05, theta_s=0.4, alpha=1.0, n=1.2),
+     "n", "n must exceed 1, got nan"),
+    (UnconfinedParams, "alpha_theta", "alpha_theta must be positive, got nan"),
+])
+def test_nan_fails_the_range_checks(make, name, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make(**{name: float("nan")})
 
 
 def test_trace_rows_shape(dam400):
