@@ -12,16 +12,23 @@ for linear pressure fields and two-point on K-orthogonal rectangles.
 
 No loop runs per vertex: all corners' geometry is computed at once and
 the systems are solved as one stacked np.linalg.solve per shape (unknown
-faces, cells). A system with condition number above COND_MAX is
-rejected as singular, whatever its pivots round to.
+faces, cells). A system that may be ill-conditioned is refused as
+singular, whatever its pivots round to. The guard reads the 1-norm: it
+refuses a system M of n unknowns when n cond_1(M) > COND_MAX. As
+cond_2 <= n cond_1 for n x n matrices, it accepts no system whose
+2-norm condition number exceeds COND_MAX, and an exactly singular M
+(cond_1 = inf) is refused; cond_1 costs one stacked inverse where
+cond_2 costs a stacked SVD.
 """
 
 import numpy as np
 
 __all__ = ["mpfa_o_stencils"]
 
-# largest accepted condition number of a local system: the dam grids reach
-# 201, the layered slab 2.5e3, two cells meeting along two faces ~1e16
+# largest accepted bound n cond_1 on a local system's condition number
+# cond_2: the dam grids reach 1.7e3 (cond_2 201), the layered slab 1.7e4
+# on triangular:12x12 and 9.0e4 on the 1900 grid (cond_2 2.5e3 and
+# 6.0e3), two cells meeting along two faces (a degree-2 vertex) 5e16-9e16
 COND_MAX = 1e12
 
 
@@ -38,6 +45,12 @@ def _corners_by_vertex(mesh):
     return mesh.cell_vert[order], cell[order], faces[order]
 
 
+def _refused(M):
+    """Which systems of the stack M (..., n, n) the guard refuses: those
+    whose n cond_1 exceeds COND_MAX or is not finite."""
+    return ~(M.shape[-1] * np.linalg.cond(M, 1) <= COND_MAX)
+
+
 def _half_face_fluxes(spec, cell, faces):
     """(lam, cc, flat) per corner k and slot s: cell[k]'s outward flux
     through half-face faces[k, s] is lam[k, s] @ u + cc[k, s] h[cell[k]],
@@ -50,8 +63,12 @@ def _half_face_fluxes(spec, cell, faces):
     Ginv = adj.reshape(-1, 2, 2) / np.where(flat, 1.0, det)[:, None, None]
     K = np.array([m.conductivity for m in spec.media])[spec.cell_medium[cell]]
     sign = np.where(mesh.face_cells[faces, 0] == cell[:, None], 1.0, -1.0)
-    lam = np.einsum("ksi,kij,kjt->kst", sign[..., None] *
-                    mesh.face_normal[faces], K, Ginv)
+    a = sign[..., None] * mesh.face_normal[faces]
+    # lam[k, s, t] = sum_ij a[k, s, i] K[k, i, j] Ginv[k, j, t]: the terms
+    # added to 0 in row-major (i, j) order, as einsum adds them, give the
+    # einsum's bits, signed zeros included, without its per-element cost
+    lam = sum((a[:, :, i] * K[:, None, i, j])[..., None] * Ginv[:, None, j]
+              for i in (0, 1) for j in (0, 1))
     lam *= (-0.5 * mesh.face_length[faces])[..., None]
     return lam, -lam.sum(axis=-1), flat
 
@@ -66,7 +83,8 @@ def mpfa_o_stencils(spec, dir_faces, dir_vals, neu_faces, neu_vals):
 
     mesh = spec.mesh
     n_f, n_v = mesh.n_faces, mesh.n_vertices
-    is_dir = np.isin(np.arange(n_f), dir_faces)
+    is_dir = np.zeros(n_f, dtype=bool)
+    is_dir[dir_faces] = True
     active = (mesh.face_cells[:, 1] >= 0) | is_dir
     face_ids = np.nonzero(active)[0]
     # Dirichlet head or Neumann flux density per boundary face
@@ -124,7 +142,7 @@ def mpfa_o_stencils(spec, dir_faces, dir_vals, neu_faces, neu_vals):
         vs = np.flatnonzero(shape_key == shape)
         n_u, n_c, m0, b0 = nu[vs[0]], nc[vs[0]], m_off[vs[0]], b_off[vs[0]]
         Mg = M[m0:m0 + len(vs) * n_u * n_u].reshape(-1, n_u, n_u)
-        bad = ~(np.linalg.cond(Mg) <= COND_MAX)
+        bad = _refused(Mg)
         if bad.any():
             faults.append((vs[bad].min(), 1,
                            "singular interaction-region system"))
@@ -144,19 +162,24 @@ def mpfa_o_stencils(spec, dir_faces, dir_vals, neu_faces, neu_vals):
     y = np.where(unk[hf[k]], XY[x_row + n_c[:, None]], bc[faces[k]])
     g = np.bincount(np.repeat(f, 2), weights=(a * y).ravel(),
                     minlength=n_f)[face_ids]
-    # one (face, cell) term per row and cell of its vertex
+    # one (face, cell) term per row and cell j of its vertex; a term
+    # exists at the owner cell and where some lam_t X_t is nonzero
     er = np.repeat(np.arange(len(k)), n_c)
     j = np.arange(len(er)) - np.repeat(np.cumsum(n_c) - n_c, n_c)
-    X = XY[x_row[er] + j[:, None]]
-    at_owner = j == kloc[k][er]
-    t_w = (np.where(at_owner, cc[k, s][er], 0.0) + a[er, 0] * X[:, 0]
-           + a[er, 1] * X[:, 1])
-    # a term exists at the owner cell and where some lam_t X_t is nonzero
-    keep = at_owner | ((a[er] != 0.0) & (X != 0.0)).any(axis=1)
+    keep = j == kloc[k][er]
+    t_w = np.where(keep, cc[k, s][er], 0.0)
+    for t in (0, 1):
+        a_t, X_t = a[er, t], XY[x_row[er, t] + j]
+        t_w = t_w + a_t * X_t
+        keep = keep | ((a_t != 0.0) & (X_t != 0.0))
     key = f[er] * mesh.n_cells + cell[first[vert[k]][er] + j]
 
-    # one sum per (face, cell) key; bincount adds the terms in row order
-    terms, inv = np.unique(key[keep], return_inverse=True)
+    # one sum per (face, cell) key; a stable sort keeps each key's terms
+    # in row order, the order bincount adds them in
+    by_key = np.flatnonzero(keep)[np.argsort(key[keep], kind="stable")]
+    key = key[by_key]
+    new = np.append(True, key[1:] != key[:-1])
+    terms = key[new]
     ptr = np.searchsorted(terms, np.append(face_ids, n_f) * mesh.n_cells)
-    w = np.bincount(inv, weights=t_w[keep], minlength=len(terms))
+    w = np.bincount(np.cumsum(new) - 1, weights=t_w[by_key])
     return face_ids, ptr, terms % mesh.n_cells, w, g

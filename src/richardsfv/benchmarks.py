@@ -75,23 +75,27 @@ GENERATORS = {"cartesian": gen_cartesian, "triangular": gen_triangular}
 def dam_mesh(choice):
     """The mesh `choice` names, tried in this order: a Mesh2D passes
     unchanged; a name of DAM_GRIDS or 'KIND:NXxNZ' with KIND in GENERATORS
-    meshes the 10 m dam square; any other string with os.sep in it or
-    naming an existing path is read as a mesh file, as './400' is."""
-    if not isinstance(choice, str):
+    meshes the 10 m dam square; an os.PathLike, and any other string with
+    os.sep in it or naming an existing path, is read as a mesh file, as
+    Path('400') and './400' are."""
+    if not isinstance(choice, (str, os.PathLike)):
         return choice
-    if choice in DAM_GRIDS:
-        kind, nx, nz = DAM_GRIDS[choice]
-    else:
+    kind = None
+    if isinstance(choice, str):
+        if choice in DAM_GRIDS:
+            kind, nx, nz = DAM_GRIDS[choice]
+        else:
+            try:
+                kind, dims = choice.split(":")
+                nx, nz = (int(d) for d in dims.lower().split("x"))
+            except ValueError:
+                kind = None
+        if kind in GENERATORS:
+            return GENERATORS[kind](nx, nz, DAM_SIZE, DAM_SIZE)
+    if isinstance(choice, os.PathLike) or os.sep in choice or \
+            os.path.exists(choice):
         try:
-            kind, dims = choice.split(":")
-            nx, nz = (int(d) for d in dims.lower().split("x"))
-        except ValueError:
-            kind = None
-    if kind in GENERATORS:
-        return GENERATORS[kind](nx, nz, DAM_SIZE, DAM_SIZE)
-    if os.sep in choice or os.path.exists(choice):
-        try:
-            return read_mesh(choice)
+            return read_mesh(os.fspath(choice))
         except OSError as exc:
             raise ValueError(f"cannot read mesh file: {exc}") from None
     if kind is not None:

@@ -3,6 +3,7 @@
 import os
 from dataclasses import fields
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +123,23 @@ def test_dam_mesh_grid_names_come_before_paths(tmp_path, monkeypatch, name,
 def test_dam_mesh_unreadable_path():
     with pytest.raises(ValueError, match="^cannot read mesh file: "):
         dam_mesh(os.path.join("no", "such.msh"))
+
+
+def test_dam_mesh_path_reads_like_its_str(tmp_path, monkeypatch):
+    # a Path is a mesh file even where its str would name a dam grid
+    monkeypatch.chdir(tmp_path)
+    write_mesh(gen_cartesian(3, 3, 10.0, 10.0), "400")
+    got, want = dam_mesh(Path("400")), dam_mesh(os.path.join(".", "400"))
+    assert got.n_cells == 9
+    for f in fields(Mesh2D):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+    assert build_dam("vgm", Path("400")).mesh.n_cells == 9
+
+
+def test_dam_mesh_missing_path():
+    with pytest.raises(ValueError, match="^cannot read mesh file: "):
+        dam_mesh(Path("no", "such.msh"))
 
 
 @pytest.mark.parametrize("name", preset_names())

@@ -337,6 +337,107 @@ def test_mpfa_ill_conditioned_system_names_vertex(n_media, vertex):
                               "interaction-region system")
 
 
+def _einsum_half_face_fluxes(spec, cell, faces):
+    """Oracle: _mpfa._half_face_fluxes with lam as one 3-operand einsum."""
+    mesh = spec.mesh
+    G = mesh.face_midpoint[faces] - mesh.cell_centroid[cell][:, None]
+    det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
+    flat = np.abs(det) <= 1e-14 * np.maximum(mesh.cell_area[cell], 1e-30)
+    adj = np.stack([G[:, 1, 1], -G[:, 0, 1], -G[:, 1, 0], G[:, 0, 0]], -1)
+    Ginv = adj.reshape(-1, 2, 2) / np.where(flat, 1.0, det)[:, None, None]
+    K = np.array([m.conductivity for m in spec.media])[spec.cell_medium[cell]]
+    sign = np.where(mesh.face_cells[faces, 0] == cell[:, None], 1.0, -1.0)
+    lam = np.einsum("ksi,kij,kjt->kst", sign[..., None] *
+                    mesh.face_normal[faces], K, Ginv)
+    lam *= (-0.5 * mesh.face_length[faces])[..., None]
+    return lam, -lam.sum(axis=-1), flat
+
+
+def _renumbered_tri31(seed):
+    return build_mesh(*renumbered(
+        generator_input(gen_triangular, 31, 31, 10.0, 10.0), seed=seed))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_dam("vgm", _renumbered_tri31(0)),
+    lambda: build_dam("vgm", _renumbered_tri31(3)),
+    lambda: build_dam("vgm", "cartesian:20x20"),
+    lambda: build_layered_slab("triangular:12x12"),
+    # diagonal K on rectangles: lam has zeros whose sign the einsum sets
+    lambda: build_layered_slab("cartesian:20x20"),
+], ids=["dam-tri31-seed0", "dam-tri31-seed3", "dam-cart20", "slab-tri12",
+        "slab-cart20"])
+def test_half_face_fluxes_match_einsum_bitwise(build):
+    spec = build()
+    _, cell, faces = _mpfa._corners_by_vertex(spec.mesh)
+    got = _mpfa._half_face_fluxes(spec, cell, faces)
+    want = _einsum_half_face_fluxes(spec, cell, faces)
+    for name, a, b in zip(("lam", "cc", "flat"), got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def _svd_stack(U, V, s):
+    """Systems U diag(s) V^T, one per row of s."""
+    return (U * s[:, None, :]) @ np.swapaxes(V, -1, -2)
+
+
+def _columns_first_last(rng, first, last):
+    """An orthonormal basis whose first and last columns are along the
+    orthogonal vectors first and last."""
+    n = len(first)
+    rest = rng.standard_normal((n, n - 2))
+    Q = np.linalg.qr(np.column_stack([first, last, rest]))[0]
+    return Q[:, [0, *range(2, n), 1]]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_mpfa_guard_never_looser_than_cond2(n):
+    # Every system the guard accepts has cond_2 <= COND_MAX, on random
+    # systems and on near-singular ones with cond_2 = c between 1e9 and
+    # 1e15: random singular vectors with singular values spread over
+    # 1/c .. 1, and (n > 2) singular vectors for which cond_1 falls to
+    # about cond_2 sqrt(2 / (n (n - 1))), so that a guard on cond_1
+    # alone would accept some systems with cond_2 above COND_MAX
+    rng = np.random.default_rng(100 + n)
+    count = 3000
+    c = 10.0 ** rng.uniform(9.0, 15.0, count)
+    s = np.sort(c[:, None] ** -rng.random((count, n)))[:, ::-1]
+    s[:, 0], s[:, -1] = 1.0, 1.0 / c
+    U, V = (np.linalg.qr(rng.standard_normal((count, n, n)))[0]
+            for _ in "UV")
+    stacks = [rng.standard_normal((count, n, n)), _svd_stack(U, V, s)]
+    if n > 2:
+        e, ones = np.eye(n), np.ones(n)
+        s[:, 1:-1] = 1e-3
+        stacks.append(_svd_stack(
+            _columns_first_last(rng, e[0], ones - e[0]),
+            _columns_first_last(rng, ones, e[0] - e[1]), s))
+    for M in stacks:
+        accepted = ~_mpfa._refused(M)
+        assert (np.linalg.cond(M[accepted]) <= _mpfa.COND_MAX).all()
+        if M is not stacks[0] and n > 1:  # both sides of COND_MAX
+            assert 0 < accepted.sum() < count
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_mpfa_guard_refuses_exactly_singular(n):
+    # singular systems in small integers: a zero matrix, a zero row, and
+    # a last row that is the sum of the first two (twice the first when
+    # n = 2, zero when n = 1); the identity placed among them is
+    # accepted, so the refusal is per system of the stack
+    rng = np.random.default_rng(n)
+    ints = rng.integers(-5, 6, (3, n, n)).astype(float)
+    ints[0] = 0.0
+    ints[1, -1] = 0.0
+    if n > 1:
+        ints[2, -1] = ints[2, 0] + ints[2, 1 % (n - 1)]
+    else:
+        ints[2] = 0.0
+    M = np.concatenate([ints[:1], np.eye(n)[None], ints[1:]])
+    assert _mpfa._refused(M).tolist() == [True, False, True, True]
+
+
 # -- face permeability ---------------------------------------------------
 
 # Four faces over cells with heads 5, 3, 4, 4, kr 0.2, 0.4, 0.6, 0.8 and
