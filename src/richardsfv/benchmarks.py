@@ -20,7 +20,7 @@ import numpy as np
 
 from .constitutive import UnconfinedParams, VgmParams
 from .discretization import Medium, ProblemSpec
-from .mesh import gen_cartesian, gen_triangular, read_mesh
+from .mesh import Mesh2D, gen_cartesian, gen_triangular, read_mesh
 
 __all__ = [
     "dam_conductivity",
@@ -77,9 +77,12 @@ def dam_mesh(choice):
     unchanged; a name of DAM_GRIDS or 'KIND:NXxNZ' with KIND in GENERATORS
     meshes the 10 m dam square; an os.PathLike, and any other string with
     os.sep in it or naming an existing path, is read as a mesh file, as
-    Path('400') and './400' are."""
-    if not isinstance(choice, (str, os.PathLike)):
+    Path('400') and './400' are. Any other type is a ValueError."""
+    if isinstance(choice, Mesh2D):
         return choice
+    if not isinstance(choice, (str, os.PathLike)):
+        raise ValueError(f"mesh choice must be a Mesh2D, a str or an "
+                         f"os.PathLike, not {type(choice).__name__}")
     kind = None
     if isinstance(choice, str):
         if choice in DAM_GRIDS:

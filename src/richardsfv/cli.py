@@ -3,7 +3,9 @@ solver-comparison sweeps.
 
 Exit codes: 0 on success, 1 on usage/config errors, 2 when the
 continuation fails to reach q = 1 (sweeps always exit 0 once all
-entries executed; failures there are data).
+entries executed; failures there are data, and a flux scheme the
+discretization refuses, as MPFA-O refuses a degree-2 vertex, gives
+"refused" rows and one logged line naming the reason).
 """
 
 import argparse

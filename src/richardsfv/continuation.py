@@ -5,17 +5,20 @@ linear flux schemes), then q walks toward 1 with an adaptive step:
 doubling after a successful nonlinear solve, halving after a failed one,
 always restarting a failed step from the last accepted state. Every
 attempted step keeps its full convergence trace, which is the data
-behind the comparison tables.
+behind the comparison tables. A sweep builds one Discretization per
+flux scheme and runs all of that scheme's entries on it; a scheme the
+build refuses gives rows too.
 """
 
 import hashlib
+import logging
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .constitutive import _kind_code
-from .discretization import Discretization
+from .discretization import AssemblyError, Discretization
 from .solvers import CONVERGED, SolverConfig, solve_nonlinear
 
 __all__ = [
@@ -27,6 +30,8 @@ __all__ = [
     "SweepRow",
     "sweep",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -163,6 +168,10 @@ class SweepEntry:
 
 @dataclass
 class SweepRow:
+    """One entry's result. outcome is "ok", "fail", or "refused" when
+    the entry's scheme could not be built; wall_seconds times the
+    continuation alone; final_q is the last accepted level."""
+
     scheme: str
     solver: str
     kind: str
@@ -171,6 +180,7 @@ class SweepRow:
     cont_success: int
     cont_failed: int
     total_iters: int
+    final_q: float
 
 
 def make_entries(schemes, solvers, kinds, base_solver_cfg=None,
@@ -186,21 +196,38 @@ def make_entries(schemes, solvers, kinds, base_solver_cfg=None,
 
 
 def sweep(spec, entries):
-    """Run every configuration independently, in order; failures are
-    data. Each entry's wall time includes building its discretization.
+    """Run every configuration in order; failures are data.
+
+    Each scheme's Discretization is built once, when its first entry
+    runs, and all of that scheme's entries run on it: its stencils,
+    pattern, ordering and flux operator depend only on (spec, scheme).
+    A scheme whose build raises AssemblyError is refused: the reason is
+    logged once and each of its entries is a row with outcome "refused",
+    zero counts, final_q 0 and wall_seconds 0. Setup is in no row's
+    wall_seconds.
 
     Returns a list of SweepRow in the order of `entries`.
     """
+    discs = {}
     rows = []
     for entry in entries:
+        if entry.scheme not in discs:
+            try:
+                discs[entry.scheme] = Discretization(spec, entry.scheme)
+            except AssemblyError as exc:
+                logger.warning("scheme %s refused: %s", entry.scheme, exc)
+                discs[entry.scheme] = None
+        disc = discs[entry.scheme]
+        labels = (entry.scheme, entry.solver_cfg.method, entry.cont_cfg.kind)
+        if disc is None:
+            rows.append(SweepRow(*labels, "refused", 0.0, 0, 0, 0, 0.0))
+            continue
         t0 = time.perf_counter()
-        _, report = run_continuation(Discretization(spec, entry.scheme),
-                                     entry.solver_cfg, entry.cont_cfg)
+        _, report = run_continuation(disc, entry.solver_cfg, entry.cont_cfg)
         wall = time.perf_counter() - t0
         rows.append(SweepRow(
-            scheme=entry.scheme, solver=entry.solver_cfg.method,
-            kind=entry.cont_cfg.kind,
-            outcome="ok" if report.success else "fail", wall_seconds=wall,
-            cont_success=report.n_success, cont_failed=report.n_failed,
-            total_iters=report.total_iterations))
+            *labels, outcome="ok" if report.success else "fail",
+            wall_seconds=wall, cont_success=report.n_success,
+            cont_failed=report.n_failed,
+            total_iters=report.total_iterations, final_q=report.final_q))
     return rows

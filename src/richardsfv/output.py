@@ -116,22 +116,23 @@ def write_report_csv(report, path):
 
 
 _SWEEP_COLUMNS = ("scheme", "solver", "kind", "outcome", "wall_seconds",
-                  "cont_success", "cont_failed", "total_iters")
+                  "cont_success", "cont_failed", "total_iters", "final_q")
 
 
 def write_sweep_csv(rows, path):
     """Comparison-table CSV: scheme, solver, kind, outcome,
-    wall_seconds, cont_success, cont_failed, total_iters."""
+    wall_seconds, cont_success, cont_failed, total_iters, final_q."""
     with open(path, "w") as fh:
         fh.write(",".join(_SWEEP_COLUMNS) + "\n")
         for r in rows:
             fh.write(f"{r.scheme},{r.solver},{r.kind},{r.outcome},"
                      f"{r.wall_seconds:.3f},{r.cont_success},"
-                     f"{r.cont_failed},{r.total_iters}\n")
+                     f"{r.cont_failed},{r.total_iters},"
+                     f"{float(r.final_q)!r}\n")
 
 
 def format_sweep_table(rows):
-    """Aligned text table mirroring the CSV columns."""
+    """Aligned text table of the CSV columns but final_q."""
     header = ("scheme", "solver", "kind", "outcome", "time_s",
               "cont.st.", "tot.iter.")
     data = [(r.scheme, r.solver, r.kind, r.outcome,

@@ -110,6 +110,15 @@ def test_dam_mesh_passes_a_mesh_through():
     assert build_dam(mesh=mesh).mesh.n_cells == 16
 
 
+@pytest.mark.parametrize("choice, type_name", [(400, "int"),
+                                               (b"400", "bytes")])
+def test_dam_mesh_refuses_other_types(choice, type_name):
+    with pytest.raises(ValueError) as exc:
+        build_dam("vgm", choice)
+    assert str(exc.value) == ("mesh choice must be a Mesh2D, a str or an "
+                              f"os.PathLike, not {type_name}")
+
+
 @pytest.mark.parametrize("name, n_cells", [("400", 400),
                                            ("cartesian:5x5", 25)])
 def test_dam_mesh_grid_names_come_before_paths(tmp_path, monkeypatch, name,

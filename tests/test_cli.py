@@ -259,17 +259,33 @@ c 5 4 3 2 5 6
 
 @pytest.mark.parametrize("argv", [("solve", "--scheme", "mpfa-o"),
                                   ("sweep",)])
-def test_mpfa_refusal_is_an_error_line(tmp_path, capsys, argv):
+def test_mpfa_refusal_is_an_error_line(tmp_path, capsys, caplog, argv):
     mpath = tmp_path / "deg2.msh"
     mpath.write_text(DEG2_MESH)
     out = tmp_path / "o"
     rc = run_cli(*argv, "--preset", "verify-linear", "--mesh", str(mpath),
                  "--out", str(out))
-    assert rc == 1
     err = capsys.readouterr().err
-    assert err == "error: vertex 3: singular interaction-region system\n"
     assert "Traceback" not in err
-    assert not (out / "sweep.csv").exists()
+    reason = "vertex 3: singular interaction-region system"
+    if argv[0] == "solve":
+        assert rc == 1
+        assert err == f"error: {reason}\n"
+        return
+    # a sweep goes on: the refusal is logged once, and each of the
+    # scheme's entries is a row; the TPFA rows are those of a TPFA-only
+    # sweep
+    assert rc == 0
+    assert [r.getMessage() for r in caplog.records] == \
+        [f"scheme mpfa-o refused: {reason}"]
+    rows = [line.split(",") for line in
+            (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [r[:4] + r[5:] for r in rows] == [
+        [scheme, solver, kind, *counts]
+        for scheme, counts in (("tpfa", ["ok", "1", "0", "1", "1.0"]),
+                               ("mpfa-o", ["refused", "0", "0", "0", "0.0"]))
+        for solver in METHODS for kind in KINDS]
+    assert all(r[4] == "0.000" for r in rows[6:])
 
 
 def test_non_finite_mesh_file_exit_1(tmp_path, capsys):

@@ -240,6 +240,22 @@ def test_sweep_full_matrix():
         assert r.wall_seconds >= 0.0
 
 
+def test_sweep_builds_one_discretization_per_scheme(monkeypatch):
+    built = []
+    init = Discretization.__init__
+
+    def spy(self, spec, scheme="tpfa"):
+        built.append(scheme)
+        init(self, spec, scheme)
+
+    monkeypatch.setattr(Discretization, "__init__", spy)
+    spec = build_dam("unconfined", "cartesian:4x4")
+    entries = make_entries(["tpfa", "mpfa-o"], ["newton", "picard", "mixed"],
+                           ["linear", "power"])
+    assert len(sweep(spec, entries)) == 12
+    assert built == ["tpfa", "mpfa-o"]
+
+
 def test_sweep_labels_rows_with_the_configs_that_run():
     spec = build_dam("unconfined", "cartesian:4x4")
     entry = SweepEntry("tpfa", SolverConfig(method="newton"),

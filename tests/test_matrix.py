@@ -1,0 +1,62 @@
+"""The 72-run comparison matrix: the presets dam-vgm, dam-unconfined
+and layered-slab on the 400 and triangular:16x16 meshes, each swept
+over the twelve default scheme x solver x kind entries. Outcomes,
+final_q and counts are pinned in data/matrix.csv; wall time is not.
+check_sweep_reuse.py reruns every entry on a fresh Discretization."""
+
+import csv
+from pathlib import Path
+
+import pytest
+
+import richardsfv.continuation as cont_mod
+from richardsfv.benchmarks import build_preset
+from richardsfv.constitutive import KINDS
+from richardsfv.continuation import make_entries, run_continuation, sweep
+from richardsfv.discretization import SCHEMES
+from richardsfv.solvers import METHODS
+
+MATRIX = Path(__file__).resolve().parent / "data" / "matrix.csv"
+PRESETS = ("dam-vgm", "dam-unconfined", "layered-slab")
+MESHES = ("400", "triangular:16x16")
+
+
+def run_matrix():
+    """(preset, mesh, spec, entry, row, report) of every run, in
+    matrix.csv order; each report is recorded as sweep's
+    run_continuation returns it."""
+    entries = make_entries(SCHEMES, METHODS, KINDS)
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        for preset in PRESETS:
+            for mesh in MESHES:
+                spec = build_preset(preset, mesh)
+                reports = []
+
+                def recording(*args):
+                    h, report = run_continuation(*args)
+                    reports.append(report)
+                    return h, report
+
+                mp.setattr(cont_mod, "run_continuation", recording)
+                rows = sweep(spec, entries)
+                runs += [(preset, mesh, spec, *run)
+                         for run in zip(entries, rows, reports)]
+    return runs
+
+
+def test_matrix_matches_table():
+    with open(MATRIX, newline="") as fh:
+        table = list(csv.reader(fh))
+    header, expected = table[0], table[1:]
+    got = [[preset, mesh, r.scheme, r.solver, r.kind, r.outcome,
+            repr(r.final_q), str(r.cont_success), str(r.cont_failed),
+            str(r.total_iters)]
+           for preset, mesh, _, _, r, _ in run_matrix()]
+    assert len(got) == len(expected) == 72
+    moved = [f"expected {','.join(e)}\n     got {','.join(g)}"
+             for e, g in zip(expected, got) if e != g]
+    if moved:
+        pytest.fail(f"{len(moved)} matrix rows differ ({','.join(header)}):"
+                    "\n" + "\n".join(moved), pytrace=False)
+

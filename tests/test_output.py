@@ -135,17 +135,22 @@ def test_csv_deterministic_bytes(tmp_path):
 
 def test_sweep_csv_and_table(tmp_path):
     from richardsfv.continuation import SweepRow
-    rows = [SweepRow("tpfa", "newton", "linear", "ok", 0.1234, 1, 0, 22),
-            SweepRow("mpfa-o", "mixed", "power", "fail", 2.5, 15, 3, 1321)]
+    rows = [SweepRow("tpfa", "newton", "linear", "ok", 0.1234, 1, 0, 22,
+                     1.0),
+            SweepRow("mpfa-o", "mixed", "power", "fail", 2.5, 15, 3, 1321,
+                     0.80224609375)]
     path = tmp_path / "sweep.csv"
     write_sweep_csv(rows, path)
     lines = path.read_text().splitlines()
     assert lines[0] == ("scheme,solver,kind,outcome,wall_seconds,"
-                        "cont_success,cont_failed,total_iters")
-    assert lines[1] == "tpfa,newton,linear,ok,0.123,1,0,22"
+                        "cont_success,cont_failed,total_iters,final_q")
+    assert lines[1] == "tpfa,newton,linear,ok,0.123,1,0,22,1.0"
+    assert lines[2] == "mpfa-o,mixed,power,fail,2.500,15,3,1321,0.80224609375"
     table = format_sweep_table(rows)
-    assert "1321" in table and "fail" in table
-    assert len(table.splitlines()) == 3
+    assert table == (
+        "scheme  solver  kind    outcome  time_s  cont.st.  tot.iter.\n"
+        "tpfa    newton  linear  ok       0.12    1(0)      22       \n"
+        "mpfa-o  mixed   power   fail     2.50    15(3)     1321     ")
     # empty table still has a header
     assert format_sweep_table([]).count("\n") == 0
 
