@@ -132,16 +132,15 @@ def write_sweep_csv(rows, path):
 
 
 def format_sweep_table(rows):
-    """Aligned text table of the CSV columns but final_q."""
+    """Aligned table of the CSV columns but final_q; lines end unpadded."""
     header = ("scheme", "solver", "kind", "outcome", "time_s",
               "cont.st.", "tot.iter.")
     data = [(r.scheme, r.solver, r.kind, r.outcome,
              f"{r.wall_seconds:.2f}",
              f"{r.cont_success}({r.cont_failed})",
              str(r.total_iters)) for r in rows]
-    widths = [max(len(header[i]), *(len(d[i]) for d in data))
-              if data else len(header[i]) for i in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for d in data:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(d, widths)))
-    return "\n".join(lines)
+    table = [header, *data]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    lines = ("  ".join(v.ljust(w) for v, w in zip(row, widths))
+             for row in table)
+    return "\n".join(line.rstrip() for line in lines)

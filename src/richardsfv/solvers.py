@@ -26,6 +26,7 @@ __all__ = [
     "picard_step",
     "armijo_line_search",
     "solve_nonlinear",
+    "OMEGA_MIN",
     "CONVERGED",
     "MAX_ITERATIONS",
     "DIVERGED",
@@ -40,6 +41,7 @@ LINE_SEARCH_FAILED = "line_search_failed"
 LINEAR_SOLVE_FAILED = "linear_solve_failed"
 
 METHODS = ("newton", "picard", "mixed")
+OMEGA_MIN = 2.0 ** -20  # the Armijo step floor: 0.25**10, 0.5**20
 
 
 @dataclass(frozen=True)
@@ -48,22 +50,21 @@ class LineSearchConfig:
 
     enabled_after skips line search for the first iterations of pure
     Newton runs (full steps instead); alpha is the sufficient-decrease
-    parameter, gamma the backtracking factor. max_backtracks refinements
-    give omega_min = gamma**max_backtracks (~9.5e-7 at the defaults).
+    parameter, gamma the backtracking factor; the trials stop at the
+    fixed floor OMEGA_MIN, whatever gamma is.
     """
 
     enabled_after: int = 5
     alpha: float = 1e-4
     gamma: float = 0.25
-    max_backtracks: int = 10
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.max_backtracks < 0 or self.enabled_after < 0:
-            raise ValueError("counts must be nonnegative")
+        if self.enabled_after < 0:
+            raise ValueError("enabled_after must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -163,9 +164,9 @@ def picard_step(disc, h, q, kind):
 def armijo_line_search(disc, h, dh, q, kind, cfg=None, res2=None):
     """Backtracking line search under ||F(h + w dh)||_2 < (1 - a w) ||F(h)||_2.
 
-    Tries omega = 1, gamma, ..., gamma**max_backtracks. Returns
-    (omega, backtracks, F_new) on acceptance and (None, max_backtracks,
-    None) when every trial fails.
+    Tries omega = 1, gamma, gamma**2, ... (repeated multiplication)
+    while omega >= OMEGA_MIN. Returns (omega, backtracks, F_new) on
+    acceptance and (None, backtracks tried, None) when every trial fails.
     """
     cfg = cfg or SolverConfig()
     ls = cfg.line_search
@@ -173,14 +174,14 @@ def armijo_line_search(disc, h, dh, q, kind, cfg=None, res2=None):
         res2 = float(np.linalg.norm(disc.residual(h, q, kind)))
     if res2 <= 0.0:
         raise ValueError("line search requires a nonzero residual")
-    omega = 1.0
-    for bt in range(ls.max_backtracks + 1):
+    omega, bt = 1.0, 0
+    while omega >= OMEGA_MIN:
         F_new = disc.residual(h + omega * dh, q, kind)
-        r2 = float(np.linalg.norm(F_new))
-        if r2 < (1.0 - ls.alpha * omega) * res2:
+        if float(np.linalg.norm(F_new)) < (1.0 - ls.alpha * omega) * res2:
             return omega, bt, F_new
         omega *= ls.gamma
-    return None, ls.max_backtracks, None
+        bt += 1
+    return None, bt - 1, None
 
 
 def _phase(cfg, k):

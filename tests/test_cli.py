@@ -168,6 +168,33 @@ def test_config_rejected_solver_key_exit_1(tmp_path, capsys, ini, expect):
     assert expect in capsys.readouterr().err
 
 
+def test_max_backtracks_is_an_unknown_key(tmp_path, capsys):
+    # the Armijo trials stop at the fixed floor OMEGA_MIN; the removed
+    # count is refused like any other unknown key
+    cfg = tmp_path / "old.ini"
+    cfg.write_text("[line_search]\nmax_backtracks = 20\n")
+    rc = run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: config [line_search] has unknown key 'max_backtracks'\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_gamma_half_passes_the_vgm_stall(tmp_path):
+    # the README's dam-vgm setting: at the default gamma this run stalls
+    # at q = 0.80224609375 after 401 iterations (exit 2)
+    cfg = tmp_path / "gamma.ini"
+    cfg.write_text("[line_search]\ngamma = 0.5\n")
+    out = tmp_path / "o"
+    rc = run_cli("solve", "--preset", "dam-vgm", "--mesh", "triangular:16x16",
+                 "--solver", "mixed", "--config", str(cfg), "--out", str(out))
+    assert rc == 0
+    rows = [line.split(",")[:4]
+            for line in (out / "report.csv").read_text().splitlines()[1:]]
+    assert rows == [["0", "0.0", "converged", "1"],
+                    ["1", "1.0", "converged", "8"]]
+
+
 def test_readme_config_example_accepted(tmp_path):
     readme = Path(__file__).resolve().parent.parent / "README.md"
     cfg = tmp_path / "readme.ini"

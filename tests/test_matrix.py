@@ -1,7 +1,9 @@
 """The 72-run comparison matrix: the presets dam-vgm, dam-unconfined
 and layered-slab on the 400 and triangular:16x16 meshes, each swept
 over the twelve default scheme x solver x kind entries. Outcomes,
-final_q and counts are pinned in data/matrix.csv; wall time is not.
+final_q and counts are pinned in data/matrix.csv at the default
+configs and in data/matrix_gamma05.csv with [line_search] gamma = 0.5
+(the README's dam-vgm setting); wall time is not.
 check_sweep_reuse.py reruns every entry on a fresh Discretization."""
 
 import csv
@@ -14,18 +16,19 @@ from richardsfv.benchmarks import build_preset
 from richardsfv.constitutive import KINDS
 from richardsfv.continuation import make_entries, run_continuation, sweep
 from richardsfv.discretization import SCHEMES
-from richardsfv.solvers import METHODS
+from richardsfv.solvers import METHODS, LineSearchConfig, SolverConfig
 
-MATRIX = Path(__file__).resolve().parent / "data" / "matrix.csv"
+DATA = Path(__file__).resolve().parent / "data"
 PRESETS = ("dam-vgm", "dam-unconfined", "layered-slab")
 MESHES = ("400", "triangular:16x16")
 
 
-def run_matrix():
+def run_matrix(solver_cfg=None, cont_cfg=None):
     """(preset, mesh, spec, entry, row, report) of every run, in
-    matrix.csv order; each report is recorded as sweep's
+    matrix.csv order, with solver_cfg and cont_cfg as the entries' base
+    configs (None: the defaults); each report is recorded as sweep's
     run_continuation returns it."""
-    entries = make_entries(SCHEMES, METHODS, KINDS)
+    entries = make_entries(SCHEMES, METHODS, KINDS, solver_cfg, cont_cfg)
     runs = []
     with pytest.MonkeyPatch.context() as mp:
         for preset in PRESETS:
@@ -45,18 +48,30 @@ def run_matrix():
     return runs
 
 
-def test_matrix_matches_table():
-    with open(MATRIX, newline="") as fh:
+def check_table(name, solver_cfg=None):
+    """Fail with exactly the rows of run_matrix(solver_cfg) that differ
+    from the pinned table data/<name>."""
+    with open(DATA / name, newline="") as fh:
         table = list(csv.reader(fh))
     header, expected = table[0], table[1:]
     got = [[preset, mesh, r.scheme, r.solver, r.kind, r.outcome,
             repr(r.final_q), str(r.cont_success), str(r.cont_failed),
             str(r.total_iters)]
-           for preset, mesh, _, _, r, _ in run_matrix()]
+           for preset, mesh, _, _, r, _ in run_matrix(solver_cfg)]
     assert len(got) == len(expected) == 72
     moved = [f"expected {','.join(e)}\n     got {','.join(g)}"
              for e, g in zip(expected, got) if e != g]
     if moved:
-        pytest.fail(f"{len(moved)} matrix rows differ ({','.join(header)}):"
+        pytest.fail(f"{len(moved)} {name} rows differ ({','.join(header)}):"
                     "\n" + "\n".join(moved), pytrace=False)
 
+
+def test_matrix_matches_table():
+    check_table("matrix.csv")
+
+
+def test_matrix_gamma05_matches_table():
+    # 66/72 converged, 1621 iterations, 103 failed steps (defaults: 64/72,
+    # 8374, 206); the same rows as gamma = 0.5 with 20 refinements
+    check_table("matrix_gamma05.csv",
+                SolverConfig(line_search=LineSearchConfig(gamma=0.5)))

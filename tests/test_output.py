@@ -149,10 +149,12 @@ def test_sweep_csv_and_table(tmp_path):
     table = format_sweep_table(rows)
     assert table == (
         "scheme  solver  kind    outcome  time_s  cont.st.  tot.iter.\n"
-        "tpfa    newton  linear  ok       0.12    1(0)      22       \n"
-        "mpfa-o  mixed   power   fail     2.50    15(3)     1321     ")
+        "tpfa    newton  linear  ok       0.12    1(0)      22\n"
+        "mpfa-o  mixed   power   fail     2.50    15(3)     1321")
     # empty table still has a header
     assert format_sweep_table([]).count("\n") == 0
+    assert format_sweep_table([]) == \
+        "scheme  solver  kind  outcome  time_s  cont.st.  tot.iter."
 
 
 def test_vtk_write_error_names_path():

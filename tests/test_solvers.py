@@ -13,9 +13,9 @@ from richardsfv.continuation import ContinuationConfig
 from richardsfv.discretization import Discretization
 from richardsfv.solvers import (CONVERGED, DIVERGED, LINE_SEARCH_FAILED,
                                 LINEAR_SOLVE_FAILED, MAX_ITERATIONS,
-                                LineSearchConfig, SolverConfig, WarmupConfig,
-                                armijo_line_search, newton_step, picard_step,
-                                solve_nonlinear)
+                                OMEGA_MIN, LineSearchConfig, SolverConfig,
+                                WarmupConfig, armijo_line_search, newton_step,
+                                picard_step, solve_nonlinear)
 from richardsfv.linalg import solve
 
 
@@ -125,15 +125,34 @@ def test_armijo_exhaustion_trial_count():
         res2=1.0)
     assert omega is None
     assert F_new is None
-    assert backtracks == cfg.line_search.max_backtracks
-    # exactly max_backtracks + 1 residual evaluations (trial omegas
-    # 1, gamma, ..., gamma**max_backtracks)
-    assert stub.calls == cfg.line_search.max_backtracks + 1
+    assert backtracks == 10
+    # exactly 11 residual evaluations: trial omegas 1, 0.25, ...,
+    # 0.25**10 = OMEGA_MIN, the floor included
+    assert stub.calls == 11
 
 
 def test_armijo_omega_min_value():
-    ls = LineSearchConfig()
-    assert ls.gamma ** ls.max_backtracks == pytest.approx(9.5367431640625e-7)
+    assert OMEGA_MIN == pytest.approx(9.5367431640625e-7)
+    assert OMEGA_MIN == LineSearchConfig().gamma ** 10
+
+
+@pytest.mark.parametrize("gamma, backtracks", [(0.5, 20), (0.1, 6)])
+def test_armijo_floor_fixes_trial_count(gamma, backtracks):
+    # the floor does not move with gamma: 0.5**20 = OMEGA_MIN is still
+    # tried, and 0.1**6 by repeated multiplication, 1.0000000000000004e-06,
+    # is the last trial above it
+    stub = Uphill()
+    cfg = SolverConfig(line_search=LineSearchConfig(gamma=gamma))
+    omega, bt, F_new = armijo_line_search(
+        stub, np.array([0.0]), np.array([1.0]), 1.0, "linear", cfg,
+        res2=1.0)
+    assert (omega, bt, F_new) == (None, backtracks, None)
+    assert stub.calls == backtracks + 1
+
+
+def test_line_search_has_no_max_backtracks():
+    with pytest.raises(TypeError):
+        LineSearchConfig(max_backtracks=20)
 
 
 def test_armijo_requires_nonzero_residual():
