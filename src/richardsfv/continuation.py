@@ -33,6 +33,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+DQ_INCREASE = 2.0  # dq's factor after an accepted level above q = 0
+DQ_DECREASE = 0.5  # dq's factor after a failed attempt
+
 
 @dataclass(frozen=True)
 class ContinuationConfig:
@@ -40,24 +43,17 @@ class ContinuationConfig:
 
     kind selects the permeability interpolation ("linear" or "power");
     dq_init is the first step toward q = 1 (1.0 attempts the target
-    problem directly). Failed steps shrink dq by `decrease`, successes
-    grow it by `increase`; the run aborts once dq < dq_min or the step
-    budget is spent.
+    problem directly); dq then halves after a failure and doubles after a
+    success, and the run aborts once dq < dq_min or max_steps is spent.
     """
 
     kind: str = "linear"
     dq_init: float = 1.0
-    decrease: float = 0.5
-    increase: float = 2.0
     dq_min: float = 1e-4
     max_steps: int = 100
 
     def __post_init__(self):
         _kind_code(self.kind)  # raises, naming the supported kinds
-        if not 0.0 < self.decrease < 1.0:
-            raise ValueError("decrease factor must lie in (0, 1)")
-        if not self.increase > 1.0:
-            raise ValueError("increase factor must exceed 1")
         if not 0.0 < self.dq_min <= self.dq_init <= 1.0:
             raise ValueError("need 0 < dq_min <= dq_init <= 1")
         if self.max_steps < 1:
@@ -136,7 +132,7 @@ def run_continuation(disc, solver_cfg=None, cont_cfg=None, h0=None):
         if rec.success:
             if q_next > 0.0:  # the first step past q = 0 is dq_init
                 # cap so a failure at q=1 halves to a genuinely new target
-                dq = min(dq * cont_cfg.increase, 1.0 - q_next)
+                dq = min(dq * DQ_INCREASE, 1.0 - q_next)
             q_cur, h, h_hash = q_next, h_try, rec.final_hash
             if q_cur >= 1.0:
                 break
@@ -145,7 +141,7 @@ def run_continuation(disc, solver_cfg=None, cont_cfg=None, h0=None):
         else:
             # discard the failed iterate entirely; h stays at the last
             # accepted state
-            dq *= cont_cfg.decrease
+            dq *= DQ_DECREASE
             if dq < cont_cfg.dq_min:
                 break
         if len(report.steps) - 1 >= cont_cfg.max_steps:

@@ -43,6 +43,10 @@ MAX_REL_RESIDUAL = 1e-6
 RELAX = 1
 PANEL_SIZE = 1
 
+# SuperLU keeps a diagonal pivot down to this share of its column's largest
+# entry, as the order P assumes (1.0: 12% more fill on MPFA-O dam 1900).
+DIAG_PIVOT_THRESH = 0.01
+
 
 class SingularMatrixError(RuntimeError):
     """Matrix is singular (or numerically so) for the requested solve."""
@@ -193,6 +197,7 @@ def solve(A, b, order=None):
             f"{A.shape[0]}x{A.shape[1]} matrix with {A.nnz}")
     try:
         lu = spla.splu(order.permuted(A), permc_spec="NATURAL",
+                       diag_pivot_thresh=DIAG_PIVOT_THRESH,
                        relax=RELAX, panel_size=PANEL_SIZE)
     except RuntimeError as exc:
         raise SingularMatrixError(f"sparse LU failed: {exc}") from None

@@ -11,6 +11,7 @@ holds the problem and the flux scheme.
 """
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -49,20 +50,18 @@ class LineSearchConfig:
     """Armijo backtracking controls.
 
     enabled_after skips line search for the first iterations of pure
-    Newton runs (full steps instead); alpha is the sufficient-decrease
-    parameter, gamma the backtracking factor; the trials stop at the
-    fixed floor OMEGA_MIN, whatever gamma is.
+    Newton runs (full steps instead); gamma, the backtracking factor, is
+    at most 0.5, as the trials stop only at the fixed floor OMEGA_MIN
+    (132 of them at 0.9); alpha, the sufficient-decrease factor, is fixed.
     """
 
     enabled_after: int = 5
-    alpha: float = 1e-4
+    alpha: ClassVar[float] = 1e-4
     gamma: float = 0.25
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
+        if not 0.0 < self.gamma <= 0.5:
+            raise ValueError(f"gamma must lie in (0, 0.5], got {self.gamma}")
         if self.enabled_after < 0:
             raise ValueError("enabled_after must be nonnegative")
 

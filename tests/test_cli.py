@@ -154,6 +154,12 @@ def test_config_unknown_key_exit_1(tmp_path, capsys):
                  id="output directory"),
     pytest.param("[sweep]\nscheme = tpfa\n", "unknown key 'scheme'",
                  id="sweep scheme"),
+    pytest.param("[continuation]\nincrease = 3\n",
+                 "error: config [continuation] has unknown key 'increase'\n",
+                 id="continuation increase"),
+    pytest.param("[line_search]\nalpha = 0.5\n",
+                 "error: config [line_search] has unknown key 'alpha'\n",
+                 id="line_search alpha"),
 ])
 def test_config_rejected_solver_key_exit_1(tmp_path, capsys, ini, expect):
     # nested configs have sections of their own; removed fields,
@@ -511,6 +517,9 @@ def test_option_replaces_an_invalid_file_value(tmp_path):
                  "[continuation]\ndq_min = 2\n",
                  "error: config [continuation]: "
                  "need 0 < dq_min <= dq_init <= 1\n", id="file"),
+    pytest.param((), "[line_search]\ngamma = 0.9\n",
+                 "error: config [line_search]: "
+                 "gamma must lie in (0, 0.5], got 0.9\n", id="file-gamma"),
 ])
 def test_invalid_value_blames_its_source(tmp_path, capsys, argv, ini, err):
     cfg = tmp_path / "run.ini"

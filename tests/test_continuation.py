@@ -112,6 +112,20 @@ def test_scripted_step_halving(dam_disc, monkeypatch):
     assert rep.success and rep.n_success == 2 and rep.n_failed == 1
 
 
+def test_scripted_dq_doubles_after_a_success(dam_disc, monkeypatch):
+    # fail the first attempts at q = 1 and q = 0.5: dq halves to 0.25,
+    # then doubles after an accepted level (0.25 -> 0.5, q = 0.75); the
+    # next doubling is capped at 1 - q = 0.25
+    def outcomes(q, n):
+        return MAX_ITERATIONS if n in (1, 2) else CONVERGED
+
+    fake, calls = _scripted(outcomes)
+    monkeypatch.setattr(cont_mod, "solve_nonlinear", fake)
+    _, rep = run_continuation(dam_disc, SolverConfig(), ContinuationConfig())
+    assert calls == [0.0, 1.0, 0.5, 0.25, 0.75, 1.0]
+    assert rep.success and rep.n_success == 3 and rep.n_failed == 2
+
+
 def test_scripted_dq_floor_abort(dam_disc, monkeypatch):
     def outcomes(q, n):
         return CONVERGED if q == 0.0 else MAX_ITERATIONS
@@ -211,15 +225,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ContinuationConfig(kind="cubic")
     with pytest.raises(ValueError):
-        ContinuationConfig(decrease=1.5)
-    with pytest.raises(ValueError):
-        ContinuationConfig(increase=0.5)
-    with pytest.raises(ValueError):
         ContinuationConfig(dq_min=0.0)
     with pytest.raises(ValueError):
         ContinuationConfig(dq_init=2.0)
     with pytest.raises(ValueError):
         ContinuationConfig(max_steps=0)
+    with pytest.raises(TypeError):  # dq's factors are module constants
+        ContinuationConfig(increase=3.0)
+    with pytest.raises(TypeError):
+        ContinuationConfig(decrease=0.25)
 
 
 # -- sweep -----------------------------------------------------------------

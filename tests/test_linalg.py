@@ -5,10 +5,13 @@ import pytest
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
+from richardsfv import linalg
 from richardsfv.benchmarks import build_dam
+from richardsfv.continuation import ContinuationConfig, run_continuation
 from richardsfv.discretization import Discretization
-from richardsfv.linalg import (Ordering, SingularMatrixError, _check_matrix,
-                               solve)
+from richardsfv.linalg import (DIAG_PIVOT_THRESH, Ordering,
+                               SingularMatrixError, _check_matrix, solve)
+from richardsfv.solvers import SolverConfig
 
 
 def lap1d(n):
@@ -262,9 +265,28 @@ def test_lu_nnz_is_the_fill_of_a_dam_jacobian(scheme):
     o = disc.order
     lu = spla.splu(sps.csc_matrix((J.data[o.gather], o.csc_indices,
                                    o.csc_indptr), shape=J.shape),
-                   permc_spec="NATURAL")
+                   permc_spec="NATURAL", diag_pivot_thresh=DIAG_PIVOT_THRESH)
     assert rep.lu_nnz == lu.L.nnz + lu.U.nnz
     assert lu.nnz > rep.lu_nnz  # the default options pad
+
+
+def test_a_dam_run_factors_one_fill(monkeypatch):
+    # on diagonal pivots every factorization of the one pattern stores
+    # the same entries; at SuperLU's default threshold all nine LUs of
+    # this run pivot off the diagonal and store seven different counts
+    disc = Discretization(build_dam("vgm", "1900"), "mpfa-o")
+    fills = []
+
+    def spy(A, b, order=None):
+        x, rep = solve(A, b, order)
+        fills.append(rep.lu_nnz)
+        return x, rep
+
+    monkeypatch.setattr(linalg, "solve", spy)
+    _, rep = run_continuation(disc, SolverConfig(method="newton"),
+                              ContinuationConfig(kind="power"))
+    assert rep.success and len(fills) == rep.total_iterations == 9
+    assert len(set(fills)) == 1
 
 
 @pytest.mark.parametrize("scheme", ["tpfa", "mpfa-o"])

@@ -304,9 +304,12 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(nit_max=0)
     with pytest.raises(ValueError):
-        LineSearchConfig(alpha=1.5)
-    with pytest.raises(ValueError):
         LineSearchConfig(gamma=0.0)
+    with pytest.raises(ValueError,
+                       match=r"^gamma must lie in \(0, 0\.5\], got 0\.6$"):
+        LineSearchConfig(gamma=0.6)
+    with pytest.raises(TypeError):
+        LineSearchConfig(alpha=0.5)  # a constant, not a field
     with pytest.raises(ValueError):
         WarmupConfig(omega_fixed=0.0)
 
@@ -314,7 +317,9 @@ def test_solver_config_validation():
 @pytest.mark.parametrize("make, name, message", [
     (SolverConfig, "eps_abs", "eps_abs and eps_div must be positive"),
     (SolverConfig, "eps_div", "eps_abs and eps_div must be positive"),
-    (ContinuationConfig, "increase", "increase factor must exceed 1"),
+    pytest.param(ContinuationConfig, "dq_min",
+                 "need 0 < dq_min <= dq_init <= 1",
+                 id="ContinuationConfig-dq_min"),
     (partial(VgmParams, theta_r=0.05, theta_s=0.4, alpha=1.0, n=1.2),
      "alpha", "alpha must be positive, got nan"),
     (partial(VgmParams, theta_r=0.05, theta_s=0.4, alpha=1.0, n=1.2),
