@@ -73,23 +73,19 @@ def _half_face_fluxes(spec, cell, faces):
     return lam, -lam.sum(axis=-1), flat
 
 
-def mpfa_o_stencils(spec, dir_faces, dir_vals, neu_faces, neu_vals):
+def mpfa_o_stencils(spec, is_dir, bc):
     """Build the O-method flux stencils of the interior and Dirichlet
     faces, as arrays (face_ids, ptr, col, w, g): face face_ids[i] has
     base flux sum(w[k] h[col[k]] for k in ptr[i]:ptr[i+1]) + g[i],
     oriented along the stored normal. Face ids and, per face, columns
-    ascend."""
+    ascend. is_dir and bc are the boundary table: per face, whether it
+    is Dirichlet, and its head or Neumann flux density."""
     from .discretization import AssemblyError
 
     mesh = spec.mesh
     n_f, n_v = mesh.n_faces, mesh.n_vertices
-    is_dir = np.zeros(n_f, dtype=bool)
-    is_dir[dir_faces] = True
     active = (mesh.face_cells[:, 1] >= 0) | is_dir
     face_ids = np.nonzero(active)[0]
-    # Dirichlet head or Neumann flux density per boundary face
-    bc = np.zeros(n_f)
-    bc[dir_faces], bc[neu_faces] = dir_vals, neu_vals
     vert, cell, faces = _corners_by_vertex(mesh)
     lam, cc, flat = _half_face_fluxes(spec, cell, faces)
 

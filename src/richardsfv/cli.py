@@ -11,6 +11,7 @@ discretization refuses, as MPFA-O refuses a degree-2 vertex, gives
 import argparse
 import configparser
 import os
+import re
 import sys
 from dataclasses import fields, replace
 
@@ -186,13 +187,6 @@ def _cont_config(cp):
     return _section_into(cp, "continuation")
 
 
-def _check_choice(name, value, allowed):
-    if value not in allowed:
-        raise UsageError(
-            f"unsupported {name} {value!r} (supported: "
-            f"{', '.join(allowed)})")
-
-
 def _out_dir(cp):
     out = _section_into(cp, "output")["dir"]
     os.makedirs(out, exist_ok=True)
@@ -202,19 +196,24 @@ def _out_dir(cp):
 def cmd_solve(args):
     cp = _read_config(args.config, args)
     scheme = _section_into(cp, "problem")["scheme"]
-    _check_choice("scheme", scheme, SCHEMES)
     solver_cfg = _solver_config(cp)
     cont_cfg = _cont_config(cp)
     preset, spec = _build_problem(cp)
+    disc = Discretization(spec, scheme)
     out = _out_dir(cp)
 
-    disc = Discretization(spec, scheme)
     h, report = run_continuation(disc, solver_cfg, cont_cfg)
 
     write_report_csv(report, os.path.join(out, "report.csv"))
     for i, step in enumerate(report.steps):
         write_convergence_csv(
             step.trace, os.path.join(out, f"trace_step{i:03d}.csv"))
+    # the directory keeps only this run's traces: an earlier, longer
+    # run's surplus trace files go
+    for name in os.listdir(out):
+        m = re.fullmatch(r"trace_step([0-9]{3})\.csv", name)
+        if m and int(m[1]) >= len(report.steps):
+            os.remove(os.path.join(out, name))
     write_vtk(field_snapshot(disc, h), os.path.join(out, "solution.vtk"))
 
     status = "ok" if report.success else "FAILED"
@@ -231,8 +230,6 @@ def cmd_sweep(args):
     schemes, solvers, kinds = (
         [s.strip() for s in value.split(",") if s.strip()]
         for value in _section_into(cp, "sweep").values())
-    for s in schemes:
-        _check_choice("scheme", s, SCHEMES)
     entries = make_entries(schemes, solvers, kinds, _solver_config(cp),
                            _cont_config(cp))
     preset, spec = _build_problem(cp)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .constitutive import _kind_code
-from .discretization import AssemblyError, Discretization
+from .discretization import AssemblyError, Discretization, _check_scheme
 from .solvers import CONVERGED, SolverConfig, solve_nonlinear
 
 __all__ = [
@@ -121,7 +121,7 @@ def run_continuation(disc, solver_cfg=None, cont_cfg=None, h0=None):
 
     report = ContinuationReport()
     h = np.array(h0, dtype=float, copy=True) if h0 is not None \
-        else np.full(disc.n_cells, float(np.mean(disc.dir_vals)))
+        else np.full(disc.n_cells, float(np.mean(disc.bc[disc.is_dir])))
     h_hash = _state_hash(h)
     q_cur, q_next, dq = 0.0, 0.0, cont_cfg.dq_init
     while True:
@@ -160,6 +160,9 @@ class SweepEntry:
     scheme: str
     solver_cfg: SolverConfig
     cont_cfg: ContinuationConfig
+
+    def __post_init__(self):
+        _check_scheme(self.scheme)  # raises, naming the supported schemes
 
 
 @dataclass

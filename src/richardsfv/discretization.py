@@ -33,6 +33,14 @@ SCHEMES = ("tpfa", "mpfa-o")
 KR_MODES = ("central", "upwind")  # mode_code is the index
 
 
+def _check_scheme(scheme):
+    """Raise ValueError, naming the supported schemes, unless scheme is
+    one of SCHEMES."""
+    if scheme not in SCHEMES:
+        raise ValueError(
+            f"unknown scheme {scheme!r} (supported: {', '.join(SCHEMES)})")
+
+
 class AssemblyError(RuntimeError):
     """Degenerate geometry or singular local system during assembly."""
 
@@ -62,8 +70,11 @@ class ProblemSpec:
     """Boundary-value problem on a mesh.
 
     dirichlet maps boundary tag names to a head value (m) or a callable
-    h(x, z) evaluated at face midpoints; neumann maps tags to outward
-    flux density (m/day). Untagged boundaries default to zero-flux.
+    h(x, z), called once per tag with the arrays of its faces' midpoint
+    coordinates and returning their heads; neumann maps tags to outward
+    flux density (m/day). Boundary faces whose tag is in neither map
+    have zero flux. Both maps are read in one place, the boundary table
+    (is_dir, bc) a Discretization builds; every setup step reads that.
     source is the specific source term (1/day), scalar or per cell.
     kr_mode selects the face permeability: "central" (half-sum) or
     "upwind" (value from the higher-head cell, ties use the half-sum).
@@ -115,10 +126,6 @@ class ProblemSpec:
         if src.ndim == 0:
             return np.full(self.mesh.n_cells, float(src))
         return src
-
-    def dirichlet_value(self, tag, x, z):
-        val = self.dirichlet[tag]
-        return float(val(x, z)) if callable(val) else float(val)
 
 
 @dataclass
@@ -175,32 +182,30 @@ def tpfa_transmissibilities(spec):
                     k[:, 0])
 
 
-def _boundary_kinds(spec):
+def _boundary_table(spec):
     """The boundary table, the one place boundary conditions are read:
-    (Dirichlet faces, their heads, Neumann faces, their outward flux
-    densities), faces ascending. Boundary faces without a Dirichlet tag
-    are Neumann faces, zero-flux unless their tag sets a flux."""
+    per mesh face, is_dir (a Dirichlet face) and bc, the head on a
+    Dirichlet face, the outward flux density on any other boundary face
+    (0 unless its tag sets one) and 0 on an interior face. A callable
+    head is called once per tag, with its faces' midpoints x and z."""
     mesh = spec.mesh
-    dir_faces, dir_vals, neu_faces, neu_vals = [], [], [], []
-    for f in mesh.boundary_faces:
-        tag = mesh.face_tag[f]
-        x, z = mesh.face_midpoint[f]
-        if tag in spec.dirichlet:
-            dir_faces.append(f)
-            dir_vals.append(spec.dirichlet_value(tag, x, z))
-        else:
-            neu_faces.append(f)
-            neu_vals.append(float(spec.neumann.get(tag, 0.0)))
-    return (np.array(dir_faces, dtype=np.int64), np.array(dir_vals),
-            np.array(neu_faces, dtype=np.int64), np.array(neu_vals))
+    is_dir = np.zeros(mesh.n_faces, dtype=bool)
+    bc = np.zeros(mesh.n_faces)
+    for tag, val in spec.dirichlet.items():
+        on = mesh.face_tag == tag
+        is_dir[on] = True
+        bc[on] = val(*mesh.face_midpoint[on].T) if callable(val) else val
+    for tag, val in spec.neumann.items():
+        bc[mesh.face_tag == tag] = val
+    return is_dir, bc
 
 
-def _tpfa_stencils(spec, dir_faces, dir_vals):
+def _tpfa_stencils(spec, is_dir, bc):
     """Two-point flux stencils of the interior and Dirichlet faces, as
     arrays (face_ids, ptr, col, w, g) like mpfa_o_stencils."""
     mesh = spec.mesh
     T = tpfa_transmissibilities(spec)
-    face_ids = np.sort(np.concatenate([mesh.interior_faces, dir_faces]))
+    face_ids = np.flatnonzero((mesh.face_cells[:, 1] >= 0) | is_dir)
     cl, cr = mesh.face_cells[face_ids].T
     interior = cr >= 0
     ptr = np.zeros(len(face_ids) + 1, dtype=np.int64)
@@ -210,8 +215,9 @@ def _tpfa_stencils(spec, dir_faces, dir_vals):
     col[first], col[second] = cl, cr[interior]
     w = np.empty(ptr[-1])
     w[first], w[second] = T[face_ids], -T[face_ids[interior]]
+    dir_faces = face_ids[~interior]
     g = np.zeros(len(face_ids))
-    g[~interior] = -T[dir_faces] * dir_vals  # both ascend by face
+    g[~interior] = -T[dir_faces] * bc[dir_faces]
     return face_ids, ptr, col, w, g
 
 
@@ -251,8 +257,10 @@ def _curves(groups, h, need_deriv):
 class Discretization:
     """Precomputed flux stencils plus assembly entry points.
 
-    Building a Discretization validates the problem and computes the
-    scheme stencils once, with the face topology every evaluation uses:
+    Building a Discretization validates the problem, reads its boundary
+    conditions once into the boundary table (is_dir, bc, per mesh face;
+    see _boundary_table) and computes the scheme stencils from it once,
+    with the face topology every evaluation uses:
     the Dirichlet faces (dir_at), the right cell clamped to 0 on them
     (cell_r0), and the interior faces with their right cells (int_faces,
     int_r). On first use it also fixes the one sparsity pattern of its
@@ -267,21 +275,18 @@ class Discretization:
     """
 
     def __init__(self, spec, scheme="tpfa"):
-        if scheme not in SCHEMES:
-            raise ValueError(
-                f"unknown scheme {scheme!r} (supported: {', '.join(SCHEMES)})")
+        _check_scheme(scheme)
         self.spec = spec
         self.scheme = scheme
         mesh = spec.mesh
         self.n_cells = mesh.n_cells
 
-        bt = _boundary_kinds(spec)
-        self.dir_faces, self.dir_vals, self.neu_faces, self.neu_vals = bt
+        self.is_dir, self.bc = _boundary_table(spec)
         if scheme == "tpfa":
-            stencils = _tpfa_stencils(spec, self.dir_faces, self.dir_vals)
+            stencils = _tpfa_stencils(spec, self.is_dir, self.bc)
         else:
             from ._mpfa import mpfa_o_stencils
-            stencils = mpfa_o_stencils(spec, *bt)
+            stencils = mpfa_o_stencils(spec, self.is_dir, self.bc)
         self.face_ids, self.ptr, self.col, self.w, self.g = stencils
         self.cell_l = mesh.face_cells[self.face_ids, 0]
         self.cell_r = mesh.face_cells[self.face_ids, 1]
@@ -294,17 +299,17 @@ class Discretization:
         self.int_r = self.cell_r[self.int_faces]
 
         # fixed source / Neumann part of b
+        neu = np.flatnonzero((mesh.face_cells[:, 1] < 0) & ~self.is_dir)
         self.b_base = spec.source_per_cell() * mesh.cell_area
-        np.subtract.at(self.b_base, mesh.face_cells[self.neu_faces, 0],
-                       self.neu_vals * mesh.face_length[self.neu_faces])
+        np.subtract.at(self.b_base, mesh.face_cells[neu, 0],
+                       self.bc[neu] * mesh.face_length[neu])
 
         # Dirichlet-face kr, evaluated once at the boundary head with the
-        # adjacent cell's geometry (modeling choice; heads are fixed);
-        # face_ids[dir_at] is dir_faces, as both ascend by face
+        # adjacent cell's geometry (modeling choice; heads are fixed)
         self.kr_dir = np.zeros(len(self.face_ids))
         at = self.dir_at
         self.kr_dir[at] = _curves(_by_medium(spec, self.cell_l[at]),
-                                  self.dir_vals, False)[2]
+                                  self.bc[self.face_ids[at]], False)[2]
 
         self.groups = _by_medium(spec, np.arange(self.n_cells))
         self.mode_code = KR_MODES.index(spec.kr_mode)
@@ -431,9 +436,8 @@ class Discretization:
         stored face normal. Neumann faces carry their prescribed flux."""
         mesh = self.spec.mesh
         flux0, K, _, _ = self._face_system(h, q, kind, False)
-        out = np.zeros(mesh.n_faces)
+        out = self.bc * mesh.face_length
         out[self.face_ids] = K * flux0
-        out[self.neu_faces] = self.neu_vals * mesh.face_length[self.neu_faces]
         return out
 
     def flux_imbalance(self, h, q, kind):

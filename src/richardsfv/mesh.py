@@ -110,7 +110,7 @@ class Mesh2D:
 
     def tag_names(self):
         """Sorted set of boundary tag names present on the mesh."""
-        return sorted({t for t in self.face_tag if t is not None})
+        return sorted(set(self.face_tag[self.boundary_faces]))
 
 
 def build_mesh(vertices, cells, tag_edges=None):
@@ -429,8 +429,8 @@ def read_mesh(path):
             fail(lineno, "malformed number")
     if len(verts) != nv:
         raise MeshFormatError(
-            f"{path}: header announces {nv} vertices, found {len(verts)}")
+            f"{path}:1: header announces {nv} vertices, found {len(verts)}")
     if len(cells) != nc:
         raise MeshFormatError(
-            f"{path}: header announces {nc} cells, found {len(cells)}")
+            f"{path}:1: header announces {nc} cells, found {len(cells)}")
     return build_mesh(np.array(verts), cells, tag_edges)

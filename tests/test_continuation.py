@@ -169,7 +169,8 @@ def test_q0_failure_returns_q0_iterate(dam_disc, monkeypatch):
     fake, _ = _scripted(lambda q, n: MAX_ITERATIONS)
     monkeypatch.setattr(cont_mod, "solve_nonlinear", fake)
     h, rep = run_continuation(dam_disc, SolverConfig(), ContinuationConfig())
-    h0 = np.full(dam_disc.n_cells, float(np.mean(dam_disc.dir_vals)))
+    h_dir = dam_disc.bc[dam_disc.is_dir]
+    h0 = np.full(dam_disc.n_cells, float(np.mean(h_dir)))
     np.testing.assert_array_equal(h, h0 + 1.0)
     assert rep.final_q == 0.0 and not rep.success
     assert rep.steps[0].final_hash == cont_mod._state_hash(h0 + 1.0)
@@ -276,6 +277,13 @@ def test_sweep_labels_rows_with_the_configs_that_run():
                        ContinuationConfig(kind="power"))
     row, = sweep(spec, [entry])
     assert (row.scheme, row.solver, row.kind) == ("tpfa", "newton", "power")
+
+
+def test_sweep_entry_checks_its_scheme():
+    with pytest.raises(ValueError) as err:
+        SweepEntry("mpfa", SolverConfig(), ContinuationConfig())
+    assert str(err.value) == \
+        "unknown scheme 'mpfa' (supported: tpfa, mpfa-o)"
 
 
 def test_sweep_empty():

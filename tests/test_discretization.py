@@ -14,7 +14,7 @@ from richardsfv.benchmarks import (build_dam, build_layered_slab,
                                    dam_conductivity)
 from richardsfv.constitutive import UnconfinedParams, VgmParams
 from richardsfv.discretization import (AssemblyError, Discretization, Medium,
-                                       ProblemSpec, _boundary_kinds,
+                                       ProblemSpec, _boundary_table,
                                        tpfa_transmissibilities)
 from richardsfv.linalg import solve
 from richardsfv.mesh import build_mesh, gen_cartesian, gen_triangular
@@ -33,6 +33,49 @@ def two_cell_spec(kl=1.0, kr=1.0):
     cm[np.argmax(mesh.cell_centroid[:, 0])] = 1
     return ProblemSpec(mesh=mesh, media=media, cell_medium=cm,
                        dirichlet={"left": 1.0})
+
+
+# -- boundary table ---------------------------------------------------
+
+@pytest.mark.parametrize("build", [
+    lambda: build_verification_linear("triangular:12x12")[0],
+    lambda: replace(build_dam("vgm", "cartesian:7x5"),
+                    neumann={"top": 0.3, "right_dry": -0.2}),
+], ids=["verify-tri12", "dam-cart7x5-neumann"])
+def test_boundary_table_reads_each_tag_once(build):
+    # per-face reference: a head or flux density per boundary face, the
+    # callable head called at each face's midpoint
+    spec = build()
+    mesh = spec.mesh
+    ref_dir = np.zeros(mesh.n_faces, dtype=bool)
+    ref_bc = np.zeros(mesh.n_faces)
+    for f in mesh.boundary_faces:
+        tag = mesh.face_tag[f]
+        if tag in spec.dirichlet:
+            val = spec.dirichlet[tag]
+            ref_dir[f] = True
+            ref_bc[f] = val(*mesh.face_midpoint[f]) if callable(val) else val
+        else:
+            ref_bc[f] = spec.neumann.get(tag, 0.0)
+    calls = []
+
+    def counted(val):
+        def head(x, z):
+            calls.append((x, z))
+            return val(x, z)
+        return head if callable(val) else val
+
+    is_dir, bc = _boundary_table(replace(spec, dirichlet={
+        tag: counted(val) for tag, val in spec.dirichlet.items()}))
+    assert np.array_equal(is_dir, ref_dir)
+    assert bc.tobytes() == ref_bc.tobytes()
+    # a callable head is called once per tag, on its faces' midpoints
+    heads = [tag for tag, val in spec.dirichlet.items() if callable(val)]
+    assert len(calls) == len(heads)
+    for tag, (x, z) in zip(heads, calls):
+        on = mesh.face_tag == tag
+        assert np.array_equal(x, mesh.face_midpoint[on, 0])
+        assert np.array_equal(z, mesh.face_midpoint[on, 1])
 
 
 # -- TPFA transmissibilities ------------------------------------------
@@ -110,7 +153,8 @@ def _loop_tpfa(spec):
             face_ids.append(f)
             cols.append([cl])
             ws.append([T[f]])
-            gs.append(-T[f] * spec.dirichlet_value(tag, x, z))
+            val = spec.dirichlet[tag]
+            gs.append(-T[f] * float(val(x, z) if callable(val) else val))
     return T, face_ids, cols, ws, gs
 
 
@@ -150,18 +194,13 @@ def _loop_corners_by_vertex(mesh):
             mesh.cf_face[prev][order].tolist(), mesh.cf_face[order].tolist())
 
 
-def _loop_mpfa_o_stencils(spec, dir_faces, dir_vals, neu_faces, neu_vals):
+def _loop_mpfa_o_stencils(spec, is_dir, bc):
     """Reference: one interaction region per vertex, one local solve
     each, terms summed per (face, cell) in accumulation order."""
     mesh = spec.mesh
     Ks = [m.conductivity for m in spec.media]
-    is_dir = np.zeros(mesh.n_faces, dtype=bool)
-    is_dir[dir_faces] = True
     active = (mesh.face_cells[:, 1] >= 0) | is_dir
     face_ids = np.nonzero(active)[0]
-    bc = np.zeros(mesh.n_faces)
-    bc[dir_faces] = dir_vals
-    bc[neu_faces] = neu_vals
     is_dir, active, bc = is_dir.tolist(), active.tolist(), bc.tolist()
     owner = mesh.face_cells[:, 0].tolist()
     vptr, corner_cell, corner_f1, corner_f2 = _loop_corners_by_vertex(mesh)
@@ -272,7 +311,7 @@ def test_mpfa_matches_per_vertex_loop(build):
     # the loop; entries that cancel to roundoff (g about 1e-16 where heads
     # are 10 m) are held to 1e-14 of the largest entry instead
     spec = build()
-    bt = _boundary_kinds(spec)
+    bt = _boundary_table(spec)
     face_ids, ptr, col, w, g = _loop_mpfa_o_stencils(spec, *bt)
     got = _mpfa.mpfa_o_stencils(spec, *bt)
     assert np.array_equal(got[0], face_ids)
@@ -318,7 +357,7 @@ def test_mpfa_two_degenerate_corners_name_lowest_vertex(swap):
         Discretization(spec, "mpfa-o")
     assert str(err.value) == want
     with pytest.raises(AssemblyError) as err:
-        _loop_mpfa_o_stencils(spec, *_boundary_kinds(spec))
+        _loop_mpfa_o_stencils(spec, *_boundary_table(spec))
     assert str(err.value) == want
 
 
@@ -588,6 +627,25 @@ def test_flux_imbalance_matches_per_cell_loop(scheme):
             (np.abs(flux[fids]).sum() + abs(rhs[c]))
     imb = disc.flux_imbalance(h, 0.7, "power")
     assert (np.abs(imb - expect) <= bound).all()
+
+
+@pytest.mark.parametrize("scheme", ["tpfa", "mpfa-o"])
+def test_per_cell_source_matches_scalar_source(scheme):
+    spec = replace(build_dam("vgm", "triangular:5x4"), source=0.01)
+    n = spec.mesh.n_cells
+    h = np.random.default_rng(3).uniform(2.0, 10.0, n)
+    F = Discretization(spec, scheme).residual(h, 0.7, "power")
+    same = Discretization(replace(spec, source=np.full(n, 0.01)), scheme)
+    assert same.residual(h, 0.7, "power").tobytes() == F.tobytes()
+    # a varying per-cell source: the imbalance, summed over each cell's
+    # faces, is the residual up to summation order
+    src = np.random.default_rng(4).uniform(-0.05, 0.05, n)
+    disc = Discretization(replace(spec, source=src), scheme)
+    F = disc.residual(h, 0.7, "power")
+    scale = np.abs(disc.face_fluxes(h, 0.7, "power")).max()
+    np.testing.assert_allclose(disc.flux_imbalance(h, 0.7, "power"), F,
+                               rtol=0, atol=1e-13 * scale)
+    assert not np.allclose(F, same.residual(h, 0.7, "power"))
 
 
 # -- Jacobian ------------------------------------------------------------

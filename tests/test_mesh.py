@@ -221,6 +221,33 @@ def test_read_count_mismatch(tmp_path):
         read_mesh(path)
 
 
+TRIANGLE = "v 0 0\nv 1 0\nv 0 1\n"
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    ("MESH2D 3 x\n", 1, "header counts must be integers"),
+    ("MESH2D 3 1\nv 0 0 0\n", 2, "vertex line needs 2 coordinates"),
+    ("MESH2D 3 1\n" + TRIANGLE + "c 3 0 1 2\nb 0 1\n", 6,
+     "boundary line needs 'b <va> <vb> <tag>'"),
+    ("MESH2D 3 1\n" + TRIANGLE + "c 4 0 1 2\n", 5,
+     "cell line announces 4 vertices but carries 3"),
+    ("MESH2D 3 1\n" + TRIANGLE + "f 0 1 2\n", 5,
+     "unknown record type 'f'"),
+    ("MESH2D 3 2\n" + TRIANGLE + "c 3 0 1 2\n", 1,
+     "header announces 2 cells, found 1"),
+    # blank and comment lines are skipped, yet counted
+    ("MESH2D 3 1\n\n# v 5 5\n  \n" + TRIANGLE + "c 3 0 1 2\n  #c\nq\n", 10,
+     "unknown record type 'q'"),
+], ids=["header-count", "vertex-arity", "boundary-arity", "cell-arity",
+        "record-type", "cell-count", "skipped-lines"])
+def test_read_error_names_its_line(tmp_path, text, lineno, message):
+    path = tmp_path / "bad.msh"
+    path.write_text(text)
+    with pytest.raises(MeshFormatError) as err:
+        read_mesh(path)
+    assert str(err.value) == f"{path}:{lineno}: {message}"
+
+
 def test_tag_on_interior_edge_rejected(tmp_path):
     m = gen_cartesian(2, 1, 2.0, 1.0)
     (f,) = m.interior_faces

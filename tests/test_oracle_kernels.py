@@ -137,8 +137,7 @@ class OracleDiscretization(Discretization):
     def __init__(self, spec, scheme):
         super().__init__(spec, scheme)
         at = np.nonzero(self.cell_r < 0)[0]
-        h_dir = self.dir_vals[np.searchsorted(self.dir_faces,
-                                              self.face_ids[at])]
+        h_dir = self.bc[self.face_ids[at]]
         self.kr_dir = np.zeros(len(self.face_ids))
         self.kr_dir[at] = _oracle_curves(spec, self.cell_l[at], h_dir,
                                          False)[2]

@@ -285,6 +285,31 @@ def test_line_search_failed_outcome():
     assert h[0] == 0.0  # iterate not updated by the failed step
 
 
+class NanAfterStep:
+    """A finite residual at the guess, NaN after any step."""
+
+    n_cells = 1
+    order = None
+
+    def residual(self, h, q, kind):
+        return np.array([1.0 if h[0] == 0.0 else np.nan])
+
+    def assemble_jacobian(self, h, q, kind, with_residual=False):
+        J = sps.csr_matrix(np.array([[1.0]]))
+        return (J, self.residual(h, q, kind)) if with_residual else J
+
+
+def test_nan_after_full_step_diverges():
+    # pure Newton's first steps are full ones, with no search to refuse
+    # a NaN: the run records inf and ends diverged, not at nit_max
+    _, trace = solve_nonlinear(NanAfterStep(), np.zeros(1), 1.0, "linear",
+                               SolverConfig(method="newton"))
+    assert trace.outcome == DIVERGED
+    assert trace.iterations == 1
+    assert not trace.final.ls_used and trace.final.omega == 1.0
+    assert trace.final.res2 == trace.final.resinf == np.inf
+
+
 def test_newton_skips_line_search_first_iterations(dam400):
     disc, _ = dam400
     cfg = SolverConfig(method="newton", eps_rel=1e-13, eps_abs=1e-13)
