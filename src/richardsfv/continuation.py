@@ -35,29 +35,20 @@ logger = logging.getLogger(__name__)
 
 DQ_INCREASE = 2.0  # dq's factor after an accepted level above q = 0
 DQ_DECREASE = 0.5  # dq's factor after a failed attempt
+DQ_MIN = 1e-4  # a run ends once dq falls below this
+MAX_STEPS = 100  # a run ends after this many attempts above q = 0
 
 
 @dataclass(frozen=True)
 class ContinuationConfig:
-    """Adaptive continuation controls.
-
-    kind selects the permeability interpolation ("linear" or "power");
-    dq_init is the first step toward q = 1 (1.0 attempts the target
-    problem directly); dq then halves after a failure and doubles after a
-    success, and the run aborts once dq < dq_min or max_steps is spent.
-    """
+    """Continuation controls: kind selects the permeability interpolation
+    ("linear" or "power"). dq's start (1, the target problem directly),
+    its factors, its floor DQ_MIN and the budget MAX_STEPS are fixed."""
 
     kind: str = "linear"
-    dq_init: float = 1.0
-    dq_min: float = 1e-4
-    max_steps: int = 100
 
     def __post_init__(self):
         _kind_code(self.kind)  # raises, naming the supported kinds
-        if not 0.0 < self.dq_min <= self.dq_init <= 1.0:
-            raise ValueError("need 0 < dq_min <= dq_init <= 1")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be positive")
 
 
 @dataclass
@@ -123,14 +114,14 @@ def run_continuation(disc, solver_cfg=None, cont_cfg=None, h0=None):
     h = np.array(h0, dtype=float, copy=True) if h0 is not None \
         else np.full(disc.n_cells, float(np.mean(disc.bc[disc.is_dir])))
     h_hash = _state_hash(h)
-    q_cur, q_next, dq = 0.0, 0.0, cont_cfg.dq_init
+    q_cur, q_next, dq = 0.0, 0.0, 1.0
     while True:
         h_try, trace = solve_nonlinear(disc, h, q_next, kind, solver_cfg)
         rec = StepRecord(q_next, trace.outcome, trace.iterations, trace,
                          h_hash, _state_hash(h_try))
         report.steps.append(rec)
         if rec.success:
-            if q_next > 0.0:  # the first step past q = 0 is dq_init
+            if q_next > 0.0:  # the first step past q = 0 is dq = 1
                 # cap so a failure at q=1 halves to a genuinely new target
                 dq = min(dq * DQ_INCREASE, 1.0 - q_next)
             q_cur, h, h_hash = q_next, h_try, rec.final_hash
@@ -142,9 +133,9 @@ def run_continuation(disc, solver_cfg=None, cont_cfg=None, h0=None):
             # discard the failed iterate entirely; h stays at the last
             # accepted state
             dq *= DQ_DECREASE
-            if dq < cont_cfg.dq_min:
+            if dq < DQ_MIN:
                 break
-        if len(report.steps) - 1 >= cont_cfg.max_steps:
+        if len(report.steps) - 1 >= MAX_STEPS:
             break
         q_next = min(1.0, q_cur + dq)
     report.final_q = q_cur

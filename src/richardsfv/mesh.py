@@ -129,8 +129,8 @@ def build_mesh(vertices, cells, tag_edges=None):
     ------
     MeshTopologyError
         On non-finite vertex coordinates, out-of-range vertex indices,
-        degenerate cells, or faces shared by more than two cells. Of
-        several faulty cells the lowest-numbered one is reported.
+        degenerate cells, faces shared by more than two cells, or an
+        edge tagged twice; of faulty cells the lowest-numbered is named.
     """
     vertices = np.array(vertices, dtype=float, order="C")  # ours to freeze
     if vertices.ndim != 2 or vertices.shape[1] != 2:
@@ -256,6 +256,10 @@ def build_mesh(vertices, cells, tag_edges=None):
 
     face_tag = np.full(n_faces, None, dtype=object)
     boundary = np.nonzero(face_cells[:, 1] < 0)[0]
+    for (a, b), tag in (tag_edges or {}).items():
+        if a < b and (b, a) in tag_edges:
+            raise MeshTopologyError(f"edge {(a, b)} tagged twice: "
+                                    f"{tag!r} and {tag_edges[b, a]!r}")
     tag_edges = {tuple(sorted(k)): v for k, v in (tag_edges or {}).items()}
     lo = np.minimum(face_vertices[boundary, 0], face_vertices[boundary, 1])
     hi = np.maximum(face_vertices[boundary, 0], face_vertices[boundary, 1])
@@ -398,7 +402,7 @@ def read_mesh(path):
     except ValueError:
         fail(1, "header counts must be integers")
 
-    verts, cells, tag_edges = [], [], {}
+    verts, cells, tag_edges, b_line = [], [], {}, {}
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if not parts or parts[0].startswith("#"):
@@ -420,7 +424,10 @@ def read_mesh(path):
             elif kind == "b":
                 if len(parts) != 4:
                     fail(lineno, "boundary line needs 'b <va> <vb> <tag>'")
-                tag_edges[(int(parts[1]), int(parts[2]))] = parts[3]
+                edge = tuple(sorted((int(parts[1]), int(parts[2]))))
+                if edge in b_line:
+                    fail(lineno, f"edge {edge} tagged on line {b_line[edge]}")
+                tag_edges[edge], b_line[edge] = parts[3], lineno
             else:
                 fail(lineno, f"unknown record type {kind!r}")
         except MeshFormatError:

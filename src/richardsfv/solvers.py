@@ -28,6 +28,7 @@ __all__ = [
     "armijo_line_search",
     "solve_nonlinear",
     "OMEGA_MIN",
+    "EPS_DIV",
     "CONVERGED",
     "MAX_ITERATIONS",
     "DIVERGED",
@@ -43,6 +44,7 @@ LINEAR_SOLVE_FAILED = "linear_solve_failed"
 
 METHODS = ("newton", "picard", "mixed")
 OMEGA_MIN = 2.0 ** -20  # the Armijo step floor: 0.25**10, 0.5**20
+EPS_DIV = 1e15  # ||F||_2 above this is divergence
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,6 @@ class SolverConfig:
     eps_rel: float = 1e-5
     eps_abs: float = 1e-6
     nit_max: int = 50
-    eps_div: float = 1e15
     line_search: LineSearchConfig = field(default_factory=LineSearchConfig)
     warmup: WarmupConfig = field(default_factory=WarmupConfig)
 
@@ -102,8 +103,8 @@ class SolverConfig:
                 f"(supported: {', '.join(METHODS)})")
         if not 0.0 < self.eps_rel < 1.0:
             raise ValueError(f"eps_rel must lie in (0, 1), got {self.eps_rel}")
-        if not (self.eps_abs > 0.0 and self.eps_div > 0.0):
-            raise ValueError("eps_abs and eps_div must be positive")
+        if not self.eps_abs > 0.0:
+            raise ValueError("eps_abs must be positive")
         if self.nit_pic < 0 or self.nit_max < 1:
             raise ValueError("need nit_pic >= 0 and nit_max >= 1")
 
@@ -195,7 +196,7 @@ def solve_nonlinear(disc, h0, q, kind, cfg=None):
     """Run the configured nonlinear iteration at continuation level q.
 
     Stops when ||F||_2 < eps_rel ||F(h0)||_2 or ||F||_inf < eps_abs;
-    also on nit_max, divergence (||F||_2 > eps_div or non-finite), line
+    also on nit_max, divergence (||F||_2 > EPS_DIV or non-finite), line
     search exhaustion, or a linear solver failure. Returns the final
     iterate and the full trace; no failure raises.
     """
@@ -258,7 +259,7 @@ def solve_nonlinear(disc, h0, q, kind, cfg=None):
             k, phase, res2, resinf, omega, backtracks, rep.rel_residual,
             ls_used=ls_used))
 
-        if res2 > cfg.eps_div:
+        if res2 > EPS_DIV:
             trace.outcome = DIVERGED
             return h, trace
         if res2 < cfg.eps_rel * res2_0 or resinf < cfg.eps_abs:

@@ -1,5 +1,6 @@
 """CLI: solve / sweep end-to-end, exit codes, determinism."""
 
+from dataclasses import fields
 from pathlib import Path
 
 import os
@@ -183,6 +184,18 @@ def test_config_unknown_key_exit_1(tmp_path, capsys):
     pytest.param("[line_search]\nalpha = 0.5\n",
                  "error: config [line_search] has unknown key 'alpha'\n",
                  id="line_search alpha"),
+    pytest.param("[solver]\neps_div = 1e10\n",
+                 "error: config [solver] has unknown key 'eps_div'\n",
+                 id="solver eps_div"),
+    pytest.param("[continuation]\ndq_init = 0.5\n",
+                 "error: config [continuation] has unknown key 'dq_init'\n",
+                 id="continuation dq_init"),
+    pytest.param("[continuation]\ndq_min = 0.3\n",
+                 "error: config [continuation] has unknown key 'dq_min'\n",
+                 id="continuation dq_min"),
+    pytest.param("[continuation]\nmax_steps = 5\n",
+                 "error: config [continuation] has unknown key 'max_steps'\n",
+                 id="continuation max_steps"),
 ])
 def test_config_rejected_solver_key_exit_1(tmp_path, capsys, ini, expect):
     # nested configs have sections of their own; removed fields,
@@ -246,8 +259,7 @@ def test_solver_failure_exit_2(tmp_path):
     cfg = tmp_path / "hard.ini"
     cfg.write_text(
         "[solver]\nmethod = newton\nnit_max = 1\n"
-        "eps_rel = 1e-14\neps_abs = 1e-14\n"
-        "[continuation]\ndq_min = 0.3\n")
+        "eps_rel = 1e-14\neps_abs = 1e-14\n")
     rc = run_cli("solve", "--preset", "dam-unconfined",
                  "--mesh", "cartesian:10x10", "--config", str(cfg),
                  "--out", str(tmp_path / "o"))
@@ -363,7 +375,25 @@ def test_nan_config_value_exit_1(tmp_path, capsys):
                  "--out", str(tmp_path / "o"))
     assert rc == 1
     assert capsys.readouterr().err == \
-        "error: config [solver]: eps_abs and eps_div must be positive\n"
+        "error: config [solver]: eps_abs must be positive\n"
+
+
+def test_settable_values_by_section():
+    # the step rules and the run's limits are module constants; a new
+    # config field shows up here as a diff
+    keys = {section: [f.name for f in fields(cfg)
+                      if isinstance(getattr(cfg, f.name), (int, float, str))]
+            for section, cfg in SECTIONS.items()
+            if not isinstance(cfg, dict)}
+    assert keys == {
+        "solver": ["method", "nit_pic", "eps_rel", "eps_abs", "nit_max"],
+        "line_search": ["enabled_after", "gamma"],
+        "warmup": ["nit_nls", "omega_fixed"],
+        "continuation": ["kind"],
+    }
+    assert sum(map(len, keys.values())) == 10
+    assert [f.name for f in fields(SECTIONS["solver"])
+            if f.name not in keys["solver"]] == ["line_search", "warmup"]
 
 
 def test_name_lists_read_the_tables(capsys):
@@ -536,13 +566,13 @@ def test_option_replaces_an_invalid_file_value(tmp_path):
                  "error: unknown method 'bfgs' "
                  "(supported: newton, picard, mixed)\n", id="option"),
     pytest.param(("--continuation", "cubic"),
-                 "[continuation]\ndq_min = 0.01\n",
+                 "[continuation]\nkind = linear\n",
                  "error: unknown continuation kind 'cubic' "
                  "(supported: linear, power)\n", id="option-kind"),
-    pytest.param(("--continuation", "power"),
-                 "[continuation]\ndq_min = 2\n",
-                 "error: config [continuation]: "
-                 "need 0 < dq_min <= dq_init <= 1\n", id="file"),
+    pytest.param(("--solver", "newton"),
+                 "[solver]\neps_rel = 2\n",
+                 "error: config [solver]: "
+                 "eps_rel must lie in (0, 1), got 2.0\n", id="file"),
     pytest.param((), "[line_search]\ngamma = 0.9\n",
                  "error: config [line_search]: "
                  "gamma must lie in (0, 0.5], got 0.9\n", id="file-gamma"),

@@ -132,8 +132,8 @@ def test_scripted_dq_floor_abort(dam_disc, monkeypatch):
 
     fake, calls = _scripted(outcomes)
     monkeypatch.setattr(cont_mod, "solve_nonlinear", fake)
-    cfg = ContinuationConfig(dq_min=1e-2)
-    _, rep = run_continuation(dam_disc, SolverConfig(), cfg)
+    monkeypatch.setattr(cont_mod, "DQ_MIN", 1e-2)
+    _, rep = run_continuation(dam_disc, SolverConfig(), ContinuationConfig())
     assert not rep.success
     assert rep.final_q == 0.0
     assert rep.n_success == 0
@@ -147,8 +147,9 @@ def test_scripted_budget_abort(dam_disc, monkeypatch):
 
     fake, _ = _scripted(outcomes)
     monkeypatch.setattr(cont_mod, "solve_nonlinear", fake)
-    cfg = ContinuationConfig(dq_min=1e-12, max_steps=5)
-    _, rep = run_continuation(dam_disc, SolverConfig(), cfg)
+    monkeypatch.setattr(cont_mod, "DQ_MIN", 1e-12)
+    monkeypatch.setattr(cont_mod, "MAX_STEPS", 5)
+    _, rep = run_continuation(dam_disc, SolverConfig(), ContinuationConfig())
     assert not rep.success
     assert rep.n_failed == 5
 
@@ -225,16 +226,11 @@ def test_explicit_h0_override(dam_disc):
 def test_config_validation():
     with pytest.raises(ValueError):
         ContinuationConfig(kind="cubic")
-    with pytest.raises(ValueError):
-        ContinuationConfig(dq_min=0.0)
-    with pytest.raises(ValueError):
-        ContinuationConfig(dq_init=2.0)
-    with pytest.raises(ValueError):
-        ContinuationConfig(max_steps=0)
-    with pytest.raises(TypeError):  # dq's factors are module constants
-        ContinuationConfig(increase=3.0)
-    with pytest.raises(TypeError):
-        ContinuationConfig(decrease=0.25)
+    # dq's start, factors, floor and the attempt budget are module
+    # constants
+    for name in ("dq_init", "increase", "decrease", "dq_min", "max_steps"):
+        with pytest.raises(TypeError):
+            ContinuationConfig(**{name: 1.0})
 
 
 # -- sweep -----------------------------------------------------------------
@@ -304,7 +300,7 @@ def test_sweep_failures_are_rows(monkeypatch):
     cfg = SolverConfig(method="newton", nit_max=1, eps_rel=1e-14,
                        eps_abs=1e-14)
     entries = [SweepEntry("tpfa", cfg,
-                          ContinuationConfig(kind="power", dq_min=0.2))]
+                          ContinuationConfig(kind="power"))]
     rows = sweep(spec, entries)
     assert rows[0].outcome == "fail"
     assert rows[0].cont_failed > 0

@@ -260,6 +260,24 @@ def test_tag_on_interior_edge_rejected(tmp_path):
         read_mesh(path)
 
 
+def test_edge_tagged_twice_refused():
+    verts = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    with pytest.raises(MeshTopologyError, match=re.escape(
+            "edge (0, 1) tagged twice: 'bottom' and 'top'") + "$"):
+        build_mesh(verts, [[0, 1, 2, 3]], {(0, 1): "bottom", (1, 0): "top"})
+
+
+@pytest.mark.parametrize("again", ["0 1", "1 0"])
+def test_read_repeated_boundary_line_names_it(tmp_path, again):
+    path = tmp_path / "twice.msh"
+    path.write_text("MESH2D 3 1\n" + TRIANGLE + "c 3 0 1 2\n"
+                    f"b 0 1 bottom\nb 1 2 right\nb {again} top\n")
+    with pytest.raises(MeshFormatError) as err:
+        read_mesh(path)
+    assert str(err.value) == \
+        f"{path}:8: edge (0, 1) tagged on line 6"
+
+
 def test_untagged_boundary_gets_default():
     verts = [(0, 0), (1, 0), (1, 1), (0, 1)]
     m = build_mesh(verts, [[0, 1, 2, 3]])

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
+import richardsfv.solvers as solvers_mod
 from richardsfv.benchmarks import build_dam
 from richardsfv.constitutive import UnconfinedParams, VgmParams
-from richardsfv.continuation import ContinuationConfig
 from richardsfv.discretization import Discretization
 from richardsfv.solvers import (CONVERGED, DIVERGED, LINE_SEARCH_FAILED,
                                 LINEAR_SOLVE_FAILED, MAX_ITERATIONS,
@@ -214,12 +214,13 @@ def test_armijo_decrease_replay_from_trace(dam400):
             assert cur.res2 < (1.0 - alpha * cur.omega) * prev.res2
 
 
-def test_divergence_outcome(dam400):
+def test_divergence_outcome(dam400, monkeypatch):
     disc, _ = dam400
-    cfg = SolverConfig(method="newton", eps_div=1e-12)
+    monkeypatch.setattr(solvers_mod, "EPS_DIV", 1e-12)
+    cfg = SolverConfig(method="newton")
     _, trace = solve_nonlinear(disc, np.full(400, 6.0), 1.0, "linear", cfg)
     assert trace.outcome == DIVERGED
-    assert any(r.res2 > cfg.eps_div for r in trace.records)
+    assert any(r.res2 > solvers_mod.EPS_DIV for r in trace.records)
 
 
 def test_max_iterations_outcome(dam400):
@@ -328,6 +329,8 @@ def test_solver_config_validation():
         SolverConfig(eps_abs=0.0)
     with pytest.raises(ValueError):
         SolverConfig(nit_max=0)
+    with pytest.raises(TypeError):
+        SolverConfig(eps_div=1e10)  # the constant EPS_DIV, not a field
     with pytest.raises(ValueError):
         LineSearchConfig(gamma=0.0)
     with pytest.raises(ValueError,
@@ -340,11 +343,9 @@ def test_solver_config_validation():
 
 
 @pytest.mark.parametrize("make, name, message", [
-    (SolverConfig, "eps_abs", "eps_abs and eps_div must be positive"),
-    (SolverConfig, "eps_div", "eps_abs and eps_div must be positive"),
-    pytest.param(ContinuationConfig, "dq_min",
-                 "need 0 < dq_min <= dq_init <= 1",
-                 id="ContinuationConfig-dq_min"),
+    (SolverConfig, "eps_abs", "eps_abs must be positive"),
+    (SolverConfig, "eps_rel", "eps_rel must lie in (0, 1), got nan"),
+    (LineSearchConfig, "gamma", "gamma must lie in (0, 0.5], got nan"),
     (partial(VgmParams, theta_r=0.05, theta_s=0.4, alpha=1.0, n=1.2),
      "alpha", "alpha must be positive, got nan"),
     (partial(VgmParams, theta_r=0.05, theta_s=0.4, alpha=1.0, n=1.2),
