@@ -97,11 +97,16 @@ def _build_parser():
 
 
 def _read_config(path, args=None):
-    """The run's configuration: the INI file at `path`, if any, with each
-    non-empty option of `args` written over its key (OPTIONS). Values
-    are literal. Every section's keys are checked against SECTIONS;
-    `cp.from_options` holds the (section, key) pairs an option set."""
-    cp = configparser.ConfigParser(interpolation=None)
+    """The run's configuration, resolved: per SECTIONS key, the
+    section's defaults with the values of the INI file at `path`, if
+    any, over them, and each non-empty option of `args` over its key
+    (OPTIONS), whose file value is then dropped unread. Values are
+    literal; unknown sections and keys are refused. A dataclass section
+    is a validated instance, its file values checked before its
+    options', so that an invalid one is blamed on the file. "solver"
+    carries the resolved line_search and warmup."""
+    # no header can name the default section, so [DEFAULT] is unknown
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     if path is not None:
         if not os.path.exists(path):
             raise UsageError(f"config file not found: {path}")
@@ -124,83 +129,69 @@ def _read_config(path, args=None):
             if key not in keys:
                 raise UsageError(
                     f"config [{section}] has unknown key {key!r}")
-    cp.from_options = set()
+    cp.read_dict(dict.fromkeys(SECTIONS, {}))  # a missing section is empty
+    options = {section: {} for section in SECTIONS}
     for option, (section, key) in OPTIONS.items():
-        value = getattr(args, option, None)
-        if value:
-            if not cp.has_section(section):
-                cp.add_section(section)
-            cp.set(section, key, value)
-            cp.from_options.add((section, key))
-    return cp
+        if getattr(args, option, None):
+            options[section][key] = getattr(args, option)
+    cfg = {}
+    for section, defaults in SECTIONS.items():
+        given = options[section]
+        from_file = {k: v for k, v in cp[section].items() if k not in given}
+        if isinstance(defaults, dict):
+            cfg[section] = {**defaults, **from_file, **given}
+            continue
+        from_file = _typed(section, defaults, from_file)
+        try:
+            resolved = replace(defaults, **from_file)
+        except ValueError as exc:
+            raise UsageError(f"config [{section}]: {exc}") from None
+        cfg[section] = replace(resolved, **_typed(section, defaults, given))
+    cfg["solver"] = replace(cfg["solver"], line_search=cfg["line_search"],
+                            warmup=cfg["warmup"])
+    return cfg
 
 
-def _section_into(cp, section):
-    """The defaults of `section` in SECTIONS with the config's values
-    over them. A dataclass section's values are typed as its field
-    defaults, and a key naming a nested config (warmup, line_search) is
-    rejected: its fields belong in their own section. The file's values
-    are validated before the options', so that an invalid one is blamed
-    on the file."""
-    cfg = SECTIONS[section]
-    values = cp[section] if cp.has_section(section) else {}
-    if isinstance(cfg, dict):
-        return {**cfg, **values}
-    from_file, from_options = {}, {}
+def _typed(section, defaults, values):
+    """`values` typed as the fields of `defaults` they name. A
+    key naming a nested config (warmup, line_search) is rejected: its
+    fields belong in their own section."""
+    typed = {}
     for key, raw in values.items():
-        cur = getattr(cfg, key)
+        cur = getattr(defaults, key)
         if not isinstance(cur, (int, float, str)):
             raise UsageError(
                 f"config [{section}] {key} is a section of its own; "
                 f"set its fields under [{key}]")
         try:
-            value = type(cur)(raw)
+            typed[key] = type(cur)(raw)
         except ValueError:
             raise UsageError(
                 f"config [{section}] {key} = {raw!r} is not a valid "
                 f"{type(cur).__name__}") from None
-        if (section, key) in cp.from_options:
-            from_options[key] = value
-        else:
-            from_file[key] = value
-    try:
-        cfg = replace(cfg, **from_file)
-    except ValueError as exc:
-        raise UsageError(f"config [{section}]: {exc}") from None
-    return replace(cfg, **from_options)
+    return typed
 
 
-def _build_problem(cp):
-    """(preset name, ProblemSpec) of the [problem] section."""
-    problem = _section_into(cp, "problem")
+def _build_problem(cfg):
+    """(preset name, ProblemSpec) of the resolved [problem] section."""
+    problem = cfg["problem"]
     return problem["preset"], build_preset(
         problem["preset"], problem["mesh"], problem["mode"])
 
 
-def _solver_config(cp):
-    return replace(_section_into(cp, "solver"),
-                   line_search=_section_into(cp, "line_search"),
-                   warmup=_section_into(cp, "warmup"))
-
-
-def _cont_config(cp):
-    return _section_into(cp, "continuation")
-
-
-def _out_dir(cp):
-    out = _section_into(cp, "output")["dir"]
+def _out_dir(cfg):
+    out = cfg["output"]["dir"]
     os.makedirs(out, exist_ok=True)
     return out
 
 
 def cmd_solve(args):
-    cp = _read_config(args.config, args)
-    scheme = _section_into(cp, "problem")["scheme"]
-    solver_cfg = _solver_config(cp)
-    cont_cfg = _cont_config(cp)
-    preset, spec = _build_problem(cp)
+    cfg = _read_config(args.config, args)
+    scheme = cfg["problem"]["scheme"]
+    solver_cfg, cont_cfg = cfg["solver"], cfg["continuation"]
+    preset, spec = _build_problem(cfg)
     disc = Discretization(spec, scheme)
-    out = _out_dir(cp)
+    out = _out_dir(cfg)
 
     h, report = run_continuation(disc, solver_cfg, cont_cfg)
 
@@ -226,14 +217,14 @@ def cmd_solve(args):
 
 
 def cmd_sweep(args):
-    cp = _read_config(args.config, args)
+    cfg = _read_config(args.config, args)
     schemes, solvers, kinds = (
         [s.strip() for s in value.split(",") if s.strip()]
-        for value in _section_into(cp, "sweep").values())
-    entries = make_entries(schemes, solvers, kinds, _solver_config(cp),
-                           _cont_config(cp))
-    preset, spec = _build_problem(cp)
-    out = _out_dir(cp)
+        for value in cfg["sweep"].values())
+    entries = make_entries(schemes, solvers, kinds, cfg["solver"],
+                           cfg["continuation"])
+    preset, spec = _build_problem(cfg)
+    out = _out_dir(cfg)
 
     rows = sweep(spec, entries)
     write_sweep_csv(rows, os.path.join(out, "sweep.csv"))

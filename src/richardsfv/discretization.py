@@ -58,6 +58,9 @@ class Medium:
         object.__setattr__(self, "conductivity", K)
         if K.shape != (2, 2):
             raise ValueError(f"medium {self.name}: conductivity must be 2x2")
+        if not np.isfinite(K).all():
+            raise ValueError(
+                f"medium {self.name}: conductivity has a non-finite entry")
         if not np.allclose(K, K.T, rtol=0.0, atol=1e-12 * abs(K).max()):
             raise ValueError(f"medium {self.name}: conductivity not symmetric")
         if np.linalg.eigvalsh(K).min() <= 0.0:

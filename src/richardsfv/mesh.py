@@ -258,9 +258,10 @@ def build_mesh(vertices, cells, tag_edges=None):
     boundary = np.nonzero(face_cells[:, 1] < 0)[0]
     for (a, b), tag in (tag_edges or {}).items():
         if a < b and (b, a) in tag_edges:
-            raise MeshTopologyError(f"edge {(a, b)} tagged twice: "
+            raise MeshTopologyError(f"edge {int(a), int(b)} tagged twice: "
                                     f"{tag!r} and {tag_edges[b, a]!r}")
-    tag_edges = {tuple(sorted(k)): v for k, v in (tag_edges or {}).items()}
+    tag_edges = {tuple(sorted(map(int, k))): v
+                 for k, v in (tag_edges or {}).items()}
     lo = np.minimum(face_vertices[boundary, 0], face_vertices[boundary, 1])
     hi = np.maximum(face_vertices[boundary, 0], face_vertices[boundary, 1])
     keys = list(zip(lo.tolist(), hi.tolist()))

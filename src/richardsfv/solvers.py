@@ -103,8 +103,9 @@ class SolverConfig:
                 f"(supported: {', '.join(METHODS)})")
         if not 0.0 < self.eps_rel < 1.0:
             raise ValueError(f"eps_rel must lie in (0, 1), got {self.eps_rel}")
-        if not self.eps_abs > 0.0:
-            raise ValueError("eps_abs must be positive")
+        if not 0.0 < self.eps_abs < np.inf:
+            raise ValueError(
+                f"eps_abs must be positive and finite, got {self.eps_abs}")
         if self.nit_pic < 0 or self.nit_max < 1:
             raise ValueError("need nit_pic >= 0 and nit_max >= 1")
 

@@ -8,7 +8,7 @@ import os
 import pytest
 
 from richardsfv.benchmarks import dam_mesh
-from richardsfv.cli import _cont_config, _read_config, _solver_config, main
+from richardsfv.cli import _read_config, main
 from richardsfv.cli import OPTIONS, SECTIONS, _build_problem
 from richardsfv.constitutive import KINDS
 from richardsfv.discretization import SCHEMES
@@ -241,9 +241,9 @@ def test_readme_config_example_accepted(tmp_path):
     readme = Path(__file__).resolve().parent.parent / "README.md"
     cfg = tmp_path / "readme.ini"
     cfg.write_text(readme.read_text().split("```ini\n")[1].split("```")[0])
-    cp = _read_config(str(cfg))
-    assert _solver_config(cp).method == "newton"
-    assert _cont_config(cp).kind == "power"
+    resolved = _read_config(str(cfg))
+    assert resolved["solver"].method == "newton"
+    assert resolved["continuation"].kind == "power"
 
 
 def test_config_bad_value_exit_1(tmp_path, capsys):
@@ -375,7 +375,21 @@ def test_nan_config_value_exit_1(tmp_path, capsys):
                  "--out", str(tmp_path / "o"))
     assert rc == 1
     assert capsys.readouterr().err == \
-        "error: config [solver]: eps_abs must be positive\n"
+        "error: config [solver]: eps_abs must be positive and finite, " \
+        "got nan\n"
+
+
+def test_inf_config_value_exit_1(tmp_path, capsys):
+    # with eps_abs = inf every level would "converge" at iteration 0
+    cfg = tmp_path / "inf.ini"
+    cfg.write_text("[solver]\neps_abs = inf\n")
+    rc = run_cli("solve", "--preset", "dam-vgm", "--mesh", "triangular:16x16",
+                 "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: config [solver]: eps_abs must be positive and finite, " \
+        "got inf\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_settable_values_by_section():
@@ -584,6 +598,33 @@ def test_invalid_value_blames_its_source(tmp_path, capsys, argv, ini, err):
                  "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert rc == 1
     assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("ini", ["[DEFAULT]\nmethod = newton\n",
+                                 "[DEFAULT]\nmethod = newton\n"
+                                 "[solver]\nnit_pic = 3\n"],
+                         ids=["alone", "with-solver"])
+def test_default_section_is_unknown(tmp_path, capsys, ini):
+    # neither ignored on its own nor applied next to [solver]
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini)
+    rc = run_cli("solve", "--mesh", "cartesian:3x3", "--config", str(cfg),
+                 "--out", str(tmp_path / "o"))
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: config has unknown section [DEFAULT] (known: [problem], "
+        "[solver], [line_search], [warmup], [continuation], [output], "
+        "[sweep])\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_no_file_and_no_options_resolve_to_the_defaults():
+    cfg = _read_config(None)
+    assert cfg == SECTIONS
+    assert cfg["solver"].line_search == cfg["line_search"]
+    assert cfg["solver"].warmup == cfg["warmup"]
+    # the dict sections are copies
+    assert all(cfg[s] is not SECTIONS[s] for s in SECTIONS)
 
 
 def test_problem_mode_reaches_the_problem(tmp_path):

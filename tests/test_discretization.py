@@ -2,6 +2,7 @@
 matrix structure, scheme exactness properties."""
 
 import logging
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -960,6 +961,12 @@ def test_medium_validation():
         Medium("m", np.array([[1.0, 2.0], [2.0, 1.0]]), VGM)
     with pytest.raises(ValueError, match="2x2"):
         Medium("m", np.eye(3), VGM)
+    # refused before the symmetry check, which warns on inf (an error
+    # under Tier-1's filterwarnings) and calls NaN "not symmetric"
+    for value in (np.inf, np.nan):
+        with pytest.raises(ValueError, match=re.escape(
+                "medium m: conductivity has a non-finite entry") + "$"):
+            Medium("m", np.array([[value, 0.0], [0.0, 1.0]]), VGM)
 
 
 def test_unknown_scheme_rejected():

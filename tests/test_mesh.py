@@ -267,6 +267,21 @@ def test_edge_tagged_twice_refused():
         build_mesh(verts, [[0, 1, 2, 3]], {(0, 1): "bottom", (1, 0): "top"})
 
 
+@pytest.mark.parametrize("tag_edges, message", [
+    ({(1, 3): "diag"},
+     "boundary tag on edge (1, 3) which is not a boundary face"),
+    ({(0, 1): "bottom", (1, 0): "top"},
+     "edge (0, 1) tagged twice: 'bottom' and 'top'"),
+], ids=["interior", "twice"])
+def test_tag_errors_print_numpy_keys_as_ints(tag_edges, message):
+    # keys taken from mesh arrays are numpy integers
+    verts = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    keys = {tuple(np.int64(v) for v in k): tag
+            for k, tag in tag_edges.items()}
+    with pytest.raises(MeshTopologyError, match=re.escape(message) + "$"):
+        build_mesh(verts, [[0, 1, 3], [1, 2, 3]], keys)
+
+
 @pytest.mark.parametrize("again", ["0 1", "1 0"])
 def test_read_repeated_boundary_line_names_it(tmp_path, again):
     path = tmp_path / "twice.msh"

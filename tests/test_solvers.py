@@ -327,6 +327,10 @@ def test_solver_config_validation():
         SolverConfig(eps_rel=2.0)
     with pytest.raises(ValueError):
         SolverConfig(eps_abs=0.0)
+    # at eps_abs = inf every level would "converge" at iteration 0
+    with pytest.raises(ValueError, match=re.escape(
+            "eps_abs must be positive and finite, got inf") + "$"):
+        SolverConfig(eps_abs=float("inf"))
     with pytest.raises(ValueError):
         SolverConfig(nit_max=0)
     with pytest.raises(TypeError):
@@ -343,7 +347,7 @@ def test_solver_config_validation():
 
 
 @pytest.mark.parametrize("make, name, message", [
-    (SolverConfig, "eps_abs", "eps_abs must be positive"),
+    (SolverConfig, "eps_abs", "eps_abs must be positive and finite, got nan"),
     (SolverConfig, "eps_rel", "eps_rel must lie in (0, 1), got nan"),
     (LineSearchConfig, "gamma", "gamma must lie in (0, 0.5], got nan"),
     (partial(VgmParams, theta_r=0.05, theta_s=0.4, alpha=1.0, n=1.2),
