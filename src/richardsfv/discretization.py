@@ -107,7 +107,9 @@ class ProblemSpec:
                 self.cell_medium.max() >= len(self.media):
             raise ValueError("cell_medium references a missing medium")
         if self.kr_mode not in KR_MODES:
-            raise ValueError(f"unknown kr_mode {self.kr_mode!r}")
+            raise ValueError(
+                f"unknown kr_mode {self.kr_mode!r} "
+                f"(supported: {', '.join(KR_MODES)})")
         tags = set(mesh.tag_names())
         both = set(self.dirichlet) & set(self.neumann)
         if both:

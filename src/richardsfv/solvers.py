@@ -4,7 +4,9 @@ All solvers share the update form: a linear system gives the update
 direction, then h <- h + omega * dh. The step matrix is the Jacobian
 (Newton) or the frozen-coefficient Picard matrix. Omega comes from a
 fixed-relaxation warm-up, a full step, or backtracking line search under
-the Armijo acceptance test on ||F||_2. Every run returns a full
+the Armijo acceptance test on ||F||_2. Picard steps past the warm-up
+are Anderson-mixed (Walker & Ni 2011) over the level's last few Picard
+updates unless SolverConfig.anderson is 0. Every run returns a full
 convergence trace; failures are encoded in the trace outcome rather
 than raised. Each entry point takes a prebuilt Discretization, which
 holds the problem and the flux scheme.
@@ -26,6 +28,7 @@ __all__ = [
     "newton_step",
     "picard_step",
     "armijo_line_search",
+    "anderson_direction",
     "solve_nonlinear",
     "OMEGA_MIN",
     "EPS_DIV",
@@ -86,13 +89,17 @@ class WarmupConfig:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Nonlinear solver controls; defaults follow the dam benchmarks."""
+    """Nonlinear solver controls; defaults follow the dam benchmarks.
+
+    anderson is the Anderson mixing depth m of the Picard steps; 0 is
+    the paper's plain Picard."""
 
     method: str = "mixed"
     nit_pic: int = 5
     eps_rel: float = 1e-5
     eps_abs: float = 1e-6
     nit_max: int = 50
+    anderson: int = 3
     line_search: LineSearchConfig = field(default_factory=LineSearchConfig)
     warmup: WarmupConfig = field(default_factory=WarmupConfig)
 
@@ -108,6 +115,9 @@ class SolverConfig:
                 f"eps_abs must be positive and finite, got {self.eps_abs}")
         if self.nit_pic < 0 or self.nit_max < 1:
             raise ValueError("need nit_pic >= 0 and nit_max >= 1")
+        if not isinstance(self.anderson, int) or self.anderson < 0:
+            raise ValueError(
+                f"anderson must be an integer >= 0, got {self.anderson!r}")
 
     @property
     def pure_newton(self):
@@ -185,6 +195,27 @@ def armijo_line_search(disc, h, dh, q, kind, cfg=None, res2=None):
     return None, bt - 1, None
 
 
+def anderson_direction(history, h, dh, m):
+    """The Anderson-mixed Picard direction at h of depth m.
+
+    history holds the level's earlier (h, dh) pairs of mixed Picard
+    steps, dh the plain update; (h, dh) joins it and only the last
+    m + 1 pairs are kept. With the differences dH and dG of their heads
+    and updates, the direction is dh - (dH + dG) g, g minimising
+    ||dh - dG g||_2. With no earlier pair, or a non-finite result, it
+    is the plain dh.
+    """
+    history.append((h, dh))
+    del history[:-m - 1]
+    if len(history) < 2:
+        return dh
+    H, G = (np.column_stack(x) for x in zip(*history))
+    dH, dG = np.diff(H, axis=1), np.diff(G, axis=1)
+    g = np.linalg.lstsq(dG, dh, rcond=None)[0]
+    mixed = dh - (dH + dG) @ g
+    return mixed if np.all(np.isfinite(mixed)) else dh
+
+
 def _phase(cfg, k):
     if cfg.method == "picard":
         return "picard"
@@ -219,6 +250,9 @@ def solve_nonlinear(disc, h0, q, kind, cfg=None):
         trace.outcome = CONVERGED
         return h, trace
 
+    # Picard steps all come before the first Newton step, so this
+    # history of mixed Picard steps is never used again once Newton starts
+    history = []
     for k in range(1, cfg.nit_max + 1):
         phase = _phase(cfg, k)
         step = picard_step if phase == "picard" else newton_step
@@ -227,6 +261,8 @@ def solve_nonlinear(disc, h0, q, kind, cfg=None):
         except linalg.SingularMatrixError:
             trace.outcome = LINEAR_SOLVE_FAILED
             return h, trace
+        if phase == "picard" and cfg.anderson and k > cfg.warmup.nit_nls:
+            dh = anderson_direction(history, h, dh, cfg.anderson)
 
         ls_used = False
         backtracks = 0

@@ -50,17 +50,20 @@ def test_solve_deterministic_outputs(tmp_path):
 
 
 def test_rerun_leaves_only_its_own_traces(tmp_path):
-    # the default dam-vgm run fails at the VGM stall after 27 attempts;
-    # at gamma = 0.5 it passes in 2, and the other 25 traces go, while
-    # files of other names stay
+    # with plain Picard the dam-vgm run fails at the VGM stall after 27
+    # attempts; at gamma = 0.5 it passes in 2, and the other 25 traces
+    # go, while files of other names stay
     out = tmp_path / "run"
     argv = ("solve", "--preset", "dam-vgm", "--mesh", "triangular:16x16",
             "--solver", "mixed", "--out", str(out))
+    plain = tmp_path / "plain.ini"
+    plain.write_text("[solver]\nanderson = 0\n")
     cfg = tmp_path / "gamma05.ini"
-    cfg.write_text("[line_search]\ngamma = 0.5\n")
+    cfg.write_text("[solver]\nanderson = 0\n[line_search]\ngamma = 0.5\n")
     others = out / "trace_step1000.csv", out / "trace_step01.csv"
     counts = []
-    for extra, rc in (((), 2), (("--config", str(cfg)), 0)):
+    for extra, rc in ((("--config", str(plain)), 2),
+                      (("--config", str(cfg)), 0)):
         assert run_cli(*argv, *extra) == rc
         rows = len((out / "report.csv").read_text().splitlines()) - 1
         traces = out.glob("trace_step[0-9][0-9][0-9].csv")
@@ -223,10 +226,10 @@ def test_max_backtracks_is_an_unknown_key(tmp_path, capsys):
 
 
 def test_gamma_half_passes_the_vgm_stall(tmp_path):
-    # the README's dam-vgm setting: at the default gamma this run stalls
-    # at q = 0.80224609375 after 401 iterations (exit 2)
+    # the README's plain-Picard dam-vgm setting: at the default gamma
+    # this run stalls at q = 0.80224609375 after 401 iterations (exit 2)
     cfg = tmp_path / "gamma.ini"
-    cfg.write_text("[line_search]\ngamma = 0.5\n")
+    cfg.write_text("[solver]\nanderson = 0\n[line_search]\ngamma = 0.5\n")
     out = tmp_path / "o"
     rc = run_cli("solve", "--preset", "dam-vgm", "--mesh", "triangular:16x16",
                  "--solver", "mixed", "--config", str(cfg), "--out", str(out))
@@ -400,14 +403,54 @@ def test_settable_values_by_section():
             for section, cfg in SECTIONS.items()
             if not isinstance(cfg, dict)}
     assert keys == {
-        "solver": ["method", "nit_pic", "eps_rel", "eps_abs", "nit_max"],
+        "solver": ["method", "nit_pic", "eps_rel", "eps_abs", "nit_max",
+                   "anderson"],
         "line_search": ["enabled_after", "gamma"],
         "warmup": ["nit_nls", "omega_fixed"],
         "continuation": ["kind"],
     }
-    assert sum(map(len, keys.values())) == 10
+    assert sum(map(len, keys.values())) == 11
     assert [f.name for f in fields(SECTIONS["solver"])
             if f.name not in keys["solver"]] == ["line_search", "warmup"]
+
+
+@pytest.mark.parametrize("value, err", [
+    ("-1", "error: config [solver]: anderson must be an integer >= 0, "
+           "got -1\n"),
+    ("1.5", "error: config [solver] anderson = '1.5' is not a valid int\n"),
+])
+def test_bad_anderson_exit_1(tmp_path, capsys, value, err):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[solver]\nanderson = {value}\n")
+    rc = run_cli("solve", "--preset", "dam-vgm", "--mesh", "triangular:16x16",
+                 "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert rc == 1
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "o").exists()
+
+
+def test_default_passes_the_vgm_stall(tmp_path):
+    # Anderson-mixed Picard steps: 10 iterations in all, where plain
+    # Picard fails after 27 attempts and 401 iterations
+    out = tmp_path / "o"
+    rc = run_cli("solve", "--preset", "dam-vgm", "--mesh", "triangular:16x16",
+                 "--solver", "mixed", "--out", str(out))
+    assert rc == 0
+    rows = [line.split(",")[:4]
+            for line in (out / "report.csv").read_text().splitlines()[1:]]
+    assert rows == [["0", "0.0", "converged", "1"],
+                    ["1", "1.0", "converged", "9"]]
+
+
+def test_unknown_mode_names_the_modes(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[problem]\nmode = foo\n")
+    rc = run_cli("solve", "--mesh", "cartesian:3x3", "--config", str(cfg),
+                 "--out", str(tmp_path / "o"))
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: unknown kr_mode 'foo' (supported: central, upwind)\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_name_lists_read_the_tables(capsys):

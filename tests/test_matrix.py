@@ -1,9 +1,10 @@
 """The 72-run comparison matrix: the presets dam-vgm, dam-unconfined
 and layered-slab on the 400 and triangular:16x16 meshes, each swept
 over the twelve default scheme x solver x kind entries. Outcomes,
-final_q and counts are pinned in data/matrix.csv at the default
-configs and in data/matrix_gamma05.csv with [line_search] gamma = 0.5
-(the README's dam-vgm setting); wall time is not.
+final_q and counts are pinned in data/matrix_anderson3.csv at the
+default configs, and for the paper's plain Picard (anderson = 0) in
+data/matrix.csv and in data/matrix_gamma05.csv with [line_search]
+gamma = 0.5 (the README's dam-vgm setting); wall time is not.
 check_sweep_reuse.py reruns every entry on a fresh Discretization."""
 
 import csv
@@ -67,11 +68,19 @@ def check_table(name, solver_cfg=None):
 
 
 def test_matrix_matches_table():
-    check_table("matrix.csv")
+    check_table("matrix.csv", SolverConfig(anderson=0))
 
 
 def test_matrix_gamma05_matches_table():
-    # 66/72 converged, 1621 iterations, 103 failed steps (defaults: 64/72,
-    # 8374, 206); the same rows as gamma = 0.5 with 20 refinements
+    # 66/72 converged, 1621 iterations, 103 failed steps (gamma = 0.25:
+    # 64/72, 8374, 206); the same rows as gamma = 0.5 with 20 refinements
     check_table("matrix_gamma05.csv",
-                SolverConfig(line_search=LineSearchConfig(gamma=0.5)))
+                SolverConfig(anderson=0,
+                             line_search=LineSearchConfig(gamma=0.5)))
+
+
+def test_matrix_anderson3_matches_table():
+    # the defaults, Picard steps Anderson-mixed at depth 3: 68/72
+    # converged, 1295 iterations, 71 failed steps; against matrix.csv 20
+    # rows move, and three that fail either way take more iterations
+    check_table("matrix_anderson3.csv")

@@ -243,20 +243,33 @@ def test_vgm_curves_agree_with_oracle(n):
                 assert np.array_equal(_bits(a), _bits(b))
 
 
-def test_stall_trace_is_the_oracles():
-    # the tri512 stall workload's configuration: 401 iterations through
-    # Picard, Newton, line searches and failed steps
+def _check_tri512_against_the_oracle(solver_cfg, iterations):
+    """The tri512 dam, TPFA, linear continuation under solver_cfg on
+    Discretization and OracleDiscretization: bitwise equal heads, steps
+    and trace rows, in `iterations` iterations."""
     spec = build_dam("vgm", "triangular:16x16")
     runs = []
     for cls in (Discretization, OracleDiscretization):
         h, report = run_continuation(
-            cls(spec, "tpfa"), SolverConfig(method="mixed", nit_max=80),
-            ContinuationConfig(kind="linear"))
+            cls(spec, "tpfa"), solver_cfg, ContinuationConfig(kind="linear"))
         runs.append((h, report))
     (h, report), (h_ref, ref) = runs
-    assert report.total_iterations == ref.total_iterations == 401
+    assert report.total_iterations == ref.total_iterations == iterations
     assert np.array_equal(_bits(h), _bits(h_ref))
     assert [(s.q_target, s.outcome, s.final_hash) for s in report.steps] == \
         [(s.q_target, s.outcome, s.final_hash) for s in ref.steps]
     for step, ref_step in zip(report.steps, ref.steps):
         assert step.trace.rows() == ref_step.trace.rows()
+
+
+def test_stall_trace_is_the_oracles():
+    # the tri512 stall workload's configuration with plain Picard: 401
+    # iterations through Picard, Newton, line searches and failed steps
+    _check_tri512_against_the_oracle(
+        SolverConfig(method="mixed", nit_max=80, anderson=0), 401)
+
+
+def test_anderson_trace_is_the_oracles():
+    # at the defaults the Picard steps are Anderson-mixed and the same
+    # dam converges in one level after q = 0
+    _check_tri512_against_the_oracle(SolverConfig(), 10)

@@ -10,11 +10,13 @@ import scipy.sparse as sps
 import richardsfv.solvers as solvers_mod
 from richardsfv.benchmarks import build_dam
 from richardsfv.constitutive import UnconfinedParams, VgmParams
+from richardsfv.continuation import ContinuationConfig, run_continuation
 from richardsfv.discretization import Discretization
 from richardsfv.solvers import (CONVERGED, DIVERGED, LINE_SEARCH_FAILED,
                                 LINEAR_SOLVE_FAILED, MAX_ITERATIONS,
                                 OMEGA_MIN, LineSearchConfig, SolverConfig,
-                                WarmupConfig, armijo_line_search, newton_step,
+                                WarmupConfig, anderson_direction,
+                                armijo_line_search, newton_step,
                                 picard_step, solve_nonlinear)
 from richardsfv.linalg import solve
 
@@ -240,6 +242,88 @@ def test_determinism(dam400):
     _, t2 = solve_nonlinear(disc, h0, 1.0, "power", cfg)
     assert t1.records == t2.records
     assert t1.outcome == t2.outcome
+
+
+# -- Anderson mixing of the Picard steps -----------------------------------
+
+@pytest.fixture(scope="module")
+def tri512():
+    return Discretization(build_dam("vgm", "triangular:16x16"), "tpfa")
+
+
+def test_anderson_solves_an_affine_map_from_a_full_history():
+    # with dh = A h + b and the two differences of three pairs spanning
+    # R^2, h + the mixed direction is the fixed point, -A^-1 b
+    A = np.array([[-0.5, 0.2], [0.1, -0.3]])
+    b = np.array([1.0, 2.0])
+    history = []
+    for h in ([0.0, 0.0], [1.0, 0.5], [0.3, 2.0]):
+        h = np.array(h)
+        d = anderson_direction(history, h, A @ h + b, 3)
+    assert len(history) == 3
+    assert np.allclose(h + d, np.linalg.solve(A, -b), rtol=0, atol=1e-12)
+
+
+def test_anderson_keeps_depth_plus_one_pairs():
+    history = []
+    dh = np.array([1.0, 0.0])
+    assert anderson_direction(history, np.zeros(2), dh, 2) is dh
+    for i in range(1, 5):
+        anderson_direction(history, np.full(2, float(i)),
+                           np.array([1.0, -float(i)]), 2)
+    assert [float(h[0]) for h, _ in history] == [2.0, 3.0, 4.0]
+
+
+def test_anderson_leaves_warmup_steps(tri512):
+    # warm-up steps 1-3 and the first Picard step past them (4) are
+    # plain at either depth; mixing starts with step 5
+    traces = []
+    for m in (0, 3):
+        cfg = SolverConfig(method="mixed", anderson=m,
+                           warmup=WarmupConfig(nit_nls=3))
+        _, trace = solve_nonlinear(tri512, np.full(512, 6.0), 1.0, "linear",
+                                   cfg)
+        traces.append(trace.rows())
+    assert traces[0][:5] == traces[1][:5]
+    assert traces[0][5] != traces[1][5]
+
+
+def test_anderson_leaves_pure_newton():
+    # the tri1922 benchmark dam, MPFA-O Newton with the power kind
+    disc = Discretization(build_dam("vgm", "1900"), "mpfa-o")
+    runs = []
+    for m in (0, 3):
+        h, report = run_continuation(
+            disc, SolverConfig(method="newton", anderson=m),
+            ContinuationConfig(kind="power"))
+        runs.append((h.tobytes(), [s.trace.rows() for s in report.steps]))
+    assert report.total_iterations == 9
+    assert runs[0] == runs[1]
+
+
+def test_non_finite_mixing_takes_the_plain_step(tri512, monkeypatch):
+    calls = []
+
+    def nan_lstsq(a, b, rcond=None):
+        calls.append(a.shape)
+        return np.full(a.shape[1], np.nan), None, 0, None
+
+    h0 = np.full(512, 6.0)
+    _, plain = solve_nonlinear(tri512, h0, 1.0, "linear",
+                               SolverConfig(method="picard", nit_max=6,
+                                            anderson=0))
+    monkeypatch.setattr(np.linalg, "lstsq", nan_lstsq)
+    _, mixed = solve_nonlinear(tri512, h0, 1.0, "linear",
+                               SolverConfig(method="picard", nit_max=6))
+    assert calls == [(512, 1), (512, 2), (512, 3), (512, 3), (512, 3)]
+    assert mixed.records == plain.records
+
+
+@pytest.mark.parametrize("value", [-1, 1.5])
+def test_anderson_must_be_a_nonnegative_integer(value):
+    with pytest.raises(ValueError, match=re.escape(
+            f"anderson must be an integer >= 0, got {value!r}") + "$"):
+        SolverConfig(anderson=value)
 
 
 class SingularJacobian:
