@@ -197,6 +197,21 @@ def test_ordering_is_the_full_factorization_order():
                           np.argsort(lu.perm_c))
 
 
+@pytest.mark.parametrize("scheme", ["tpfa", "mpfa-o"])
+@pytest.mark.parametrize("mesh", ["400", "1900"])
+def test_ordering_is_the_default_spilu_order_on_dam_patterns(mesh, scheme):
+    # Ordering's spilu runs with RELAX and PANEL_SIZE, which are
+    # performance parameters only: the order is the one scipy's
+    # defaults give
+    o = Discretization(build_dam("vgm", mesh), scheme).order
+    standin = sps.csr_matrix((-np.ones(len(o.indices)), o.indices,
+                              o.indptr), shape=o.shape) + \
+        sps.diags(np.diff(o.indptr) + 1.0)
+    ilu = spla.spilu(standin.tocsc(), drop_tol=1.0, fill_factor=1,
+                     permc_spec="MMD_AT_PLUS_A")
+    assert np.array_equal(o.p, np.argsort(ilu.perm_c))
+
+
 def test_solve_with_ordering_equals_solve_without():
     A = _grid_matrix(3)
     b = np.random.default_rng(4).standard_normal(A.shape[0])

@@ -1,13 +1,17 @@
 """VTK and CSV writers: structure, round-trips, deterministic bytes."""
 
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from richardsfv.benchmarks import build_dam
 from richardsfv.constitutive import UNCONF_FLOOR, unconf_theta
-from richardsfv.continuation import ContinuationConfig, run_continuation
+from richardsfv.continuation import (ContinuationConfig, SweepRow,
+                                     run_continuation)
 from richardsfv.discretization import Discretization
-from richardsfv.mesh import gen_cartesian, gen_triangular
+from richardsfv.mesh import gen_cartesian, gen_triangular, write_mesh
 from richardsfv.output import (FieldSnapshot, field_snapshot,
                                format_sweep_table, write_convergence_csv,
                                write_report_csv, write_sweep_csv, write_vtk)
@@ -134,7 +138,6 @@ def test_csv_deterministic_bytes(tmp_path):
 
 
 def test_sweep_csv_and_table(tmp_path):
-    from richardsfv.continuation import SweepRow
     rows = [SweepRow("tpfa", "newton", "linear", "ok", 0.1234, 1, 0, 22,
                      1.0),
             SweepRow("mpfa-o", "mixed", "power", "fail", 2.5, 15, 3, 1321,
@@ -185,3 +188,92 @@ def test_dam_converged_field_bounds():
     assert bound.min() > floor
     assert (snap.saturation >= bound * (1.0 - 1e-9)).all()
     assert (snap.saturation > floor).all()
+
+
+# -- every file is overwritten in place ---------------------------------
+
+def _report():
+    disc = Discretization(build_dam("unconfined", "cartesian:3x3"), "tpfa")
+    return run_continuation(disc, SolverConfig(method="mixed"),
+                            ContinuationConfig())[1]
+
+
+# the package's five writers, each as a call that writes one path
+WRITERS = {
+    "vtk": lambda path: write_vtk(single_cell_snapshot(), path),
+    "trace": lambda path: write_convergence_csv(_report().steps[-1].trace,
+                                                path),
+    "report": lambda path: write_report_csv(_report(), path),
+    "sweep": lambda path: write_sweep_csv(
+        [SweepRow("tpfa", "newton", "linear", "ok", 0.1234, 1, 0, 22, 1.0)],
+        path),
+    "mesh": lambda path: write_mesh(gen_triangular(3, 1, 1.0, 0.5), path),
+}
+
+
+@pytest.fixture(params=sorted(WRITERS))
+def writer(request):
+    return WRITERS[request.param]
+
+
+def _expected_bytes(writer, tmp_path):
+    fresh = tmp_path / "fresh"
+    writer(fresh)
+    return fresh.read_bytes()
+
+
+def test_writer_overwrites_a_longer_file_in_place(writer, tmp_path,
+                                                  monkeypatch):
+    expected = _expected_bytes(writer, tmp_path)
+    path = tmp_path / "out"
+    path.write_bytes(b"old line\n" * (len(expected) // 4 + 100))
+    path.chmod(0o640)
+    inode = path.stat().st_ino
+    flags = []
+    real_open = os.open
+
+    def spy(file, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(file, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    writer(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == expected
+    assert path.stat().st_ino == inode
+    assert path.stat().st_mode & 0o777 == 0o640
+    # the file goes through os.open, never with O_TRUNC
+    assert flags and not any(f & os.O_TRUNC for f in flags)
+
+
+def test_writer_rewrites_the_target_of_a_symlink(writer, tmp_path):
+    expected = _expected_bytes(writer, tmp_path)
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_bytes(b"x" * (2 * len(expected) + 100))
+    link.symlink_to(target)
+    writer(link)
+    assert link.is_symlink()
+    assert target.read_bytes() == expected
+
+
+def test_writer_accepts_devnull(writer):
+    writer(os.devnull)
+
+
+def test_failed_vtk_write_leaves_no_old_tail(tmp_path):
+    # the kr values cannot be read, so the write stops after kr's header
+    class Unreadable:
+        def __array__(self, dtype=None, copy=None):
+            raise RuntimeError("unreadable")
+
+    good = single_cell_snapshot()
+    text = _expected_bytes(lambda p: write_vtk(good, p), tmp_path)
+    head = b"SCALARS kr double 1\nLOOKUP_TABLE default\n"
+    written = text[:text.index(head) + len(head)]
+    path = tmp_path / "out.vtk"
+    path.write_bytes(text * 3)
+    broken = SimpleNamespace(mesh=good.mesh, head=good.head, psi=good.psi,
+                             saturation=good.saturation, kr=Unreadable())
+    with pytest.raises(RuntimeError, match="unreadable"):
+        write_vtk(broken, path)
+    assert path.read_bytes() == written
