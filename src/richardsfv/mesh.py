@@ -11,8 +11,6 @@ from itertools import chain
 
 import numpy as np
 
-from .output import _overwrite
-
 __all__ = [
     "Mesh2D",
     "MeshFormatError",
@@ -370,7 +368,7 @@ def write_mesh(mesh, path):
     ptr = mesh.cell_ptr.tolist()
     verts = mesh.cell_vert.tolist()
     bf = mesh.boundary_faces
-    with _overwrite(path) as fh:
+    with open(path, "w") as fh:
         fh.write(f"MESH2D {mesh.n_vertices} {mesh.n_cells}\n")
         fh.writelines(f"v {x!r} {z!r}\n" for x, z in mesh.vertices.tolist())
         fh.writelines(f"c {b - a} {' '.join(map(str, verts[a:b]))}\n"

@@ -3,21 +3,8 @@
 All writers are deterministic: identical inputs produce byte-identical
 files. Numbers are written with repr (shortest round-trip form), which
 is locale-independent.
-
-Every file the package writes (these writers and mesh.write_mesh) is
-overwritten in place: an existing file keeps its inode, permissions
-and any symlink to it; it is written from offset 0 and then cut at the
-written length, never truncated to zero first. On ext4 with
-``auto_da_alloc`` (the default) closing a file that was truncated to
-zero starts writeback of its new data. Rewriting one of a solve's
-output files that way took 48-75 us in a tight loop and about 250 us
-between solves, against 9-11 us in place (2-core x86-64, ext4), and a
-rerun rewrites every output file.
 """
 
-import os
-import stat
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,20 +59,6 @@ def field_snapshot(disc, h):
                          saturation=np.clip(sat, 0.0, 1.0), kr=kr)
 
 
-@contextmanager
-def _overwrite(path):
-    """A text file for writing path from offset 0, opened without
-    truncating it. On exit a regular file is cut at the written length,
-    also when the write raised, so no tail of an earlier, longer file is
-    left; other files (a device, a FIFO) are not cut."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
-        try:
-            yield fh
-        finally:
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()
-
-
 _VTK_CELL_TYPES = {3: 5, 4: 9}  # triangle, quad; other polygons use 7
 
 
@@ -97,9 +70,13 @@ def write_vtk(snapshot, path):
     ptr = mesh.cell_ptr.tolist()
     verts = mesh.cell_vert.tolist()
     sizes = np.diff(mesh.cell_ptr).tolist()
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise OSError(f"cannot write VTK file {path}: {exc}") from None
     # each section is written as it is formatted, so the file's text is
     # never held whole
-    with _overwrite(path) as fh:
+    with fh:
         fh.write("# vtk DataFile Version 2.0\nrichardsfv fields\nASCII\n"
                  "DATASET UNSTRUCTURED_GRID\n"
                  f"POINTS {mesh.n_vertices} double\n")
@@ -121,7 +98,7 @@ def write_convergence_csv(trace, path):
     backtracks, linres (one row per recorded iteration; linres is the
     relative residual of that iteration's linear solve, 0 on the initial
     row)."""
-    with _overwrite(path) as fh:
+    with open(path, "w") as fh:
         fh.write("iter,phase,res2,resinf,omega,backtracks,linres\n")
         for it, phase, r2, rinf, om, bt, lr in trace.rows():
             fh.write(f"{it},{phase},{float(r2)!r},{float(rinf)!r},"
@@ -130,7 +107,7 @@ def write_convergence_csv(trace, path):
 
 def write_report_csv(report, path):
     """Continuation report CSV: one row per attempted step."""
-    with _overwrite(path) as fh:
+    with open(path, "w") as fh:
         fh.write("step,q_target,outcome,iterations,"
                  "initial_hash,final_hash\n")
         for i, s in enumerate(report.steps):
@@ -145,7 +122,7 @@ _SWEEP_COLUMNS = ("scheme", "solver", "kind", "outcome", "wall_seconds",
 def write_sweep_csv(rows, path):
     """Comparison-table CSV: scheme, solver, kind, outcome,
     wall_seconds, cont_success, cont_failed, total_iters, final_q."""
-    with _overwrite(path) as fh:
+    with open(path, "w") as fh:
         fh.write(",".join(_SWEEP_COLUMNS) + "\n")
         for r in rows:
             fh.write(f"{r.scheme},{r.solver},{r.kind},{r.outcome},"
