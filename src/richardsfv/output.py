@@ -2,7 +2,8 @@
 
 All writers are deterministic: identical inputs produce byte-identical
 files. Numbers are written with repr (shortest round-trip form), which
-is locale-independent.
+is locale-independent, of Python values: arrays go through .tolist()
+first, since under numpy 2 a numpy scalar's repr is np.float64(...).
 """
 
 from dataclasses import dataclass
@@ -37,9 +38,12 @@ class FieldSnapshot:
     def __post_init__(self):
         n = self.mesh.n_cells
         for name in ("head", "psi", "saturation", "kr"):
-            arr = getattr(self, name)
-            if len(arr) != n:
-                raise ValueError(f"{name} has {len(arr)} entries "
+            shape = np.shape(getattr(self, name))
+            if len(shape) != 1:
+                raise ValueError(f"{name} has shape {shape}, "
+                                 f"expected ({n},)")
+            if shape[0] != n:
+                raise ValueError(f"{name} has {shape[0]} entries "
                                  f"for {n} cells")
 
 
@@ -67,30 +71,30 @@ def write_vtk(snapshot, path):
     data arrays head, psi, saturation, kr."""
     mesh = snapshot.mesh
     n = mesh.n_cells
-    ptr = mesh.cell_ptr.tolist()
-    verts = mesh.cell_vert.tolist()
-    sizes = np.diff(mesh.cell_ptr).tolist()
+    loops = np.diff(mesh.cell_ptr).tolist()
+    rows = {k: " ".join(["%d"] * (k + 1)) + "\n" for k in set(loops)}
+    types = {k: f"{_VTK_CELL_TYPES.get(k, 7)}\n" for k in rows}
     try:
         fh = open(path, "w")
     except OSError as exc:
         raise OSError(f"cannot write VTK file {path}: {exc}") from None
-    # each section is written as it is formatted, so the file's text is
-    # never held whole
+    # one % per section, written at once: the file's text is never held whole
     with fh:
         fh.write("# vtk DataFile Version 2.0\nrichardsfv fields\nASCII\n"
                  "DATASET UNSTRUCTURED_GRID\n"
                  f"POINTS {mesh.n_vertices} double\n")
-        fh.writelines(f"{x!r} {z!r} 0.0\n" for x, z in mesh.vertices.tolist())
-        fh.write(f"CELLS {n} {n + len(verts)}\n")
-        fh.writelines(" ".join(map(str, [k, *verts[a:b]])) + "\n"
-                      for k, a, b in zip(sizes, ptr, ptr[1:]))
+        fh.write("%r %r 0.0\n" * mesh.n_vertices
+                 % tuple(mesh.vertices.ravel().tolist()))
+        fh.write(f"CELLS {n} {n + len(mesh.cell_vert)}\n")
+        cells = np.insert(mesh.cell_vert, mesh.cell_ptr[:-1], loops)
+        fh.write("".join(map(rows.__getitem__, loops)) % tuple(cells.tolist()))
         fh.write(f"CELL_TYPES {n}\n")
-        fh.writelines(f"{_VTK_CELL_TYPES.get(k, 7)}\n" for k in sizes)
+        fh.write("".join(map(types.__getitem__, loops)))
         fh.write(f"CELL_DATA {n}\n")
         for name in ("head", "psi", "saturation", "kr"):
             fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
             values = np.asarray(getattr(snapshot, name), dtype=float)
-            fh.writelines(f"{v!r}\n" for v in values.tolist())
+            fh.write("%r\n" * len(values) % tuple(values.tolist()))
 
 
 def write_convergence_csv(trace, path):

@@ -1,6 +1,7 @@
 """VTK and CSV writers: structure, round-trips, deterministic bytes."""
 
 import os
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,11 +12,15 @@ from richardsfv.constitutive import UNCONF_FLOOR, unconf_theta
 from richardsfv.continuation import (ContinuationConfig, SweepRow,
                                      run_continuation)
 from richardsfv.discretization import Discretization
-from richardsfv.mesh import gen_cartesian, gen_triangular, write_mesh
-from richardsfv.output import (FieldSnapshot, field_snapshot,
-                               format_sweep_table, write_convergence_csv,
-                               write_report_csv, write_sweep_csv, write_vtk)
+from richardsfv.mesh import (build_mesh, gen_cartesian, gen_triangular,
+                             write_mesh)
+from richardsfv.output import (_VTK_CELL_TYPES, FieldSnapshot,
+                               field_snapshot, format_sweep_table,
+                               write_convergence_csv, write_report_csv,
+                               write_sweep_csv, write_vtk)
 from richardsfv.solvers import SolverConfig, solve_nonlinear
+
+from test_mesh import mixed_input
 
 
 def single_cell_snapshot():
@@ -44,27 +49,57 @@ def test_vtk_single_cell(tmp_path):
     assert "CELL_TYPES 1" in text
 
 
-@pytest.mark.parametrize("gen,vtk_type", [(gen_cartesian, "9"),
-                                          (gen_triangular, "5")])
-def test_vtk_cell_count_roundtrip(tmp_path, gen, vtk_type):
+def _mixed_mesh(*_):
+    return build_mesh(*mixed_input())
+
+
+@pytest.mark.parametrize("gen,loops", [(gen_cartesian, {4}),
+                                       (gen_triangular, {3}),
+                                       (_mixed_mesh, {3, 4, 5, 9})],
+                         ids=["gen_cartesian-9", "gen_triangular-5",
+                              "mixed-5/7/9"])
+def test_vtk_cell_count_roundtrip(tmp_path, gen, loops):
+    # each CELLS row is a loop size and that loop's vertices, and only
+    # triangles (5) and quads (9) have a cell type of their own
     mesh = gen(3, 2, 1.0, 1.0)
-    snap = FieldSnapshot(mesh=mesh, head=np.zeros(mesh.n_cells),
-                         psi=np.zeros(mesh.n_cells),
-                         saturation=np.zeros(mesh.n_cells),
-                         kr=np.zeros(mesh.n_cells))
+    n, sizes = mesh.n_cells, np.diff(mesh.cell_ptr).tolist()
+    assert set(sizes) == loops
+    snap = FieldSnapshot(mesh=mesh, head=np.zeros(n), psi=np.zeros(n),
+                         saturation=np.zeros(n), kr=np.zeros(n))
     path = tmp_path / "grid.vtk"
     write_vtk(snap, path)
-    assert parse_vtk_cell_count(path) == mesh.n_cells
+    assert parse_vtk_cell_count(path) == n
     lines = path.read_text().splitlines()
-    i = lines.index(f"CELL_TYPES {mesh.n_cells}")
-    types = set(lines[i + 1:i + 1 + mesh.n_cells])
-    assert types == {vtk_type}
+    i = lines.index(f"CELLS {n} {n + sum(sizes)}")
+    rows = [list(map(int, row.split())) for row in lines[i + 1:i + 1 + n]]
+    assert [row[0] for row in rows] == sizes
+    assert [row[1:] for row in rows] == \
+        [mesh.cell_vert[a:b].tolist()
+         for a, b in zip(mesh.cell_ptr, mesh.cell_ptr[1:])]
+    assert lines[i + 1 + n] == f"CELL_TYPES {n}"
+    types = lines[i + 2 + n:i + 2 + 2 * n]
+    assert types == [{3: "5", 4: "9"}.get(k, "7") for k in sizes]
+    assert lines[i + 2 + 2 * n] == f"CELL_DATA {n}"
 
 
 def test_snapshot_length_validation():
     mesh = gen_cartesian(2, 2, 1.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^head has 3 entries for 4 cells$"):
         FieldSnapshot(mesh=mesh, head=np.zeros(3), psi=np.zeros(4),
+                      saturation=np.zeros(4), kr=np.zeros(4))
+
+
+@pytest.mark.parametrize("head,message", [
+    (np.zeros((4, 1)), "head has shape (4, 1), expected (4,)"),
+    (np.float64(2.0), "head has shape (), expected (4,)"),
+], ids=["column", "scalar"])
+def test_snapshot_shape_validation(head, message):
+    # gen_triangular(2, 1) has 4 cells; a column vector has 4 entries
+    # but is not a field, and a scalar has no length at all
+    mesh = gen_triangular(2, 1, 1.0, 1.0)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FieldSnapshot(mesh=mesh, head=head, psi=np.zeros(4),
                       saturation=np.zeros(4), kr=np.zeros(4))
 
 
@@ -188,6 +223,74 @@ def test_dam_converged_field_bounds():
     assert bound.min() > floor
     assert (snap.saturation >= bound * (1.0 - 1e-9)).all()
     assert (snap.saturation > floor).all()
+
+
+# -- the per-value writer as reference ---------------------------------
+
+def _loop_write_vtk(snapshot, path):
+    """Reference: the writer as it was before one % per section, one
+    f-string or join per vertex, cell and value."""
+    mesh = snapshot.mesh
+    n = mesh.n_cells
+    ptr = mesh.cell_ptr.tolist()
+    verts = mesh.cell_vert.tolist()
+    sizes = np.diff(mesh.cell_ptr).tolist()
+    with open(path, "w") as fh:
+        fh.write("# vtk DataFile Version 2.0\nrichardsfv fields\nASCII\n"
+                 "DATASET UNSTRUCTURED_GRID\n"
+                 f"POINTS {mesh.n_vertices} double\n")
+        fh.writelines(f"{x!r} {z!r} 0.0\n" for x, z in mesh.vertices.tolist())
+        fh.write(f"CELLS {n} {n + len(verts)}\n")
+        fh.writelines(" ".join(map(str, [k, *verts[a:b]])) + "\n"
+                      for k, a, b in zip(sizes, ptr, ptr[1:]))
+        fh.write(f"CELL_TYPES {n}\n")
+        fh.writelines(f"{_VTK_CELL_TYPES.get(k, 7)}\n" for k in sizes)
+        fh.write(f"CELL_DATA {n}\n")
+        for name in ("head", "psi", "saturation", "kr"):
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            values = np.asarray(getattr(snapshot, name), dtype=float)
+            fh.writelines(f"{v!r}\n" for v in values.tolist())
+
+
+def _dam_vgm_snapshot():
+    disc = Discretization(build_dam("vgm", "triangular:16x16"), "tpfa")
+    h, rep = run_continuation(disc, SolverConfig(method="mixed"),
+                              ContinuationConfig())
+    assert rep.success
+    return field_snapshot(disc, h)
+
+
+def _cartesian_snapshot():
+    mesh = gen_cartesian(5, 5, 10.0, 10.0)
+    rng = np.random.default_rng(3)
+    head = rng.uniform(2.0, 10.0, mesh.n_cells)
+    return FieldSnapshot(mesh=mesh, head=head,
+                         psi=head - mesh.cell_centroid[:, 1],
+                         saturation=rng.uniform(0.0, 1.0, mesh.n_cells),
+                         kr=rng.uniform(0.0, 1.0, mesh.n_cells))
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e300,
+           1e-300, -1e-300, 0.1, 1.0 / 3.0]
+
+
+def _mixed_special_snapshot():
+    # repr's edge cases in every field, and kr as a list of numpy scalars
+    mesh = _mixed_mesh()
+    values = np.resize(SPECIAL, mesh.n_cells)
+    return FieldSnapshot(mesh=mesh, head=values, psi=values[::-1],
+                         saturation=np.roll(values, 5),
+                         kr=[np.float64(v) for v in np.roll(values, 7)])
+
+
+@pytest.mark.parametrize("make", [_dam_vgm_snapshot, _cartesian_snapshot,
+                                  _mixed_special_snapshot])
+def test_vtk_matches_per_value_writer(tmp_path, make):
+    snap = make()
+    write_vtk(snap, tmp_path / "new.vtk")
+    _loop_write_vtk(snap, tmp_path / "loop.vtk")
+    assert (tmp_path / "new.vtk").read_bytes() == \
+        (tmp_path / "loop.vtk").read_bytes()
 
 
 # -- rewriting an existing file -----------------------------------------
