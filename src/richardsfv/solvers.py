@@ -50,6 +50,14 @@ OMEGA_MIN = 2.0 ** -20  # the Armijo step floor: 0.25**10, 0.5**20
 EPS_DIV = 1e15  # ||F||_2 above this is divergence
 
 
+def _check_count(name, value, low):
+    """Refuse a count that is not a (numpy) integer >= low; a bool is no
+    count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LineSearchConfig:
     """Armijo backtracking controls.
@@ -67,8 +75,7 @@ class LineSearchConfig:
     def __post_init__(self):
         if not 0.0 < self.gamma <= 0.5:
             raise ValueError(f"gamma must lie in (0, 0.5], got {self.gamma}")
-        if self.enabled_after < 0:
-            raise ValueError("enabled_after must be nonnegative")
+        _check_count("enabled_after", self.enabled_after, 0)
 
 
 @dataclass(frozen=True)
@@ -83,8 +90,7 @@ class WarmupConfig:
         if not 0.0 < self.omega_fixed <= 1.0:
             raise ValueError(
                 f"omega_fixed must lie in (0, 1], got {self.omega_fixed}")
-        if self.nit_nls < 0:
-            raise ValueError("nit_nls must be nonnegative")
+        _check_count("nit_nls", self.nit_nls, 0)
 
 
 @dataclass(frozen=True)
@@ -113,11 +119,9 @@ class SolverConfig:
         if not 0.0 < self.eps_abs < np.inf:
             raise ValueError(
                 f"eps_abs must be positive and finite, got {self.eps_abs}")
-        if self.nit_pic < 0 or self.nit_max < 1:
-            raise ValueError("need nit_pic >= 0 and nit_max >= 1")
-        if not isinstance(self.anderson, int) or self.anderson < 0:
-            raise ValueError(
-                f"anderson must be an integer >= 0, got {self.anderson!r}")
+        _check_count("nit_pic", self.nit_pic, 0)
+        _check_count("nit_max", self.nit_max, 1)
+        _check_count("anderson", self.anderson, 0)
 
     @property
     def pure_newton(self):
@@ -234,6 +238,9 @@ def solve_nonlinear(disc, h0, q, kind, cfg=None):
     """
     cfg = cfg or SolverConfig()
     h = np.array(h0, dtype=float, copy=True)
+    if h.ndim != 1:
+        raise ValueError(f"initial guess has shape {h.shape}, "
+                         f"expected ({disc.n_cells},)")
     if len(h) != disc.n_cells:
         raise ValueError(
             f"initial guess has {len(h)} entries for {disc.n_cells} cells")

@@ -4,6 +4,8 @@ from dataclasses import fields
 from pathlib import Path
 
 import os
+import shutil
+import subprocess
 
 import pytest
 
@@ -20,18 +22,30 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+# the README's solve example; MPFA-O on the slab's three anisotropic
+# media (interaction regions across media), on the linear field whose
+# Dirichlet heads are a callable, and on the MPFA-O Newton benchmark dam
+END_TO_END = [
+    ("dam-unconfined", "cartesian:20x20", "--scheme", "tpfa",
+     "--solver", "mixed"),
+    ("layered-slab", "triangular:12x12", "--scheme", "mpfa-o"),
+    ("verify-linear", "triangular:12x12", "--scheme", "mpfa-o"),
+    ("dam-vgm", "1900", "--scheme", "mpfa-o", "--solver", "newton",
+     "--continuation", "power"),
+]
+
+
 def test_solve_end_to_end(tmp_path, capsys):
-    out = tmp_path / "run"
-    rc = run_cli("solve", "--preset", "dam-unconfined",
-                 "--mesh", "cartesian:20x20", "--scheme", "tpfa",
-                 "--solver", "mixed", "--out", str(out))
-    assert rc == 0
-    assert (out / "report.csv").exists()
-    assert (out / "solution.vtk").exists()
-    traces = sorted(p.name for p in out.glob("trace_step*.csv"))
-    assert traces == ["trace_step000.csv", "trace_step001.csv"]
-    cap = capsys.readouterr()
-    assert "ok" in cap.out
+    for k, (preset, mesh, *argv) in enumerate(END_TO_END):
+        out = tmp_path / f"run{k}"
+        rc = run_cli("solve", "--preset", preset, "--mesh", mesh, *argv,
+                     "--out", str(out))
+        assert rc == 0, preset
+        assert (out / "report.csv").exists()
+        assert (out / "solution.vtk").exists()
+        traces = sorted(p.name for p in out.glob("trace_step*.csv"))
+        assert traces == ["trace_step000.csv", "trace_step001.csv"]
+        assert ": ok," in capsys.readouterr().out
 
 
 def test_solve_deterministic_outputs(tmp_path):
@@ -74,6 +88,15 @@ def test_rerun_leaves_only_its_own_traces(tmp_path):
             p.write_text("other\n")
     assert counts == [27, 2]
     assert all(p.read_text() == "other\n" for p in others)
+    # what the rerun left is, byte for byte, the same run in a fresh
+    # directory
+    fresh = tmp_path / "fresh"
+    assert run_cli(*argv[:-1], str(fresh), "--config", str(cfg)) == 0
+    names = sorted(p.name for p in fresh.iterdir())
+    assert names == sorted({p.name for p in out.iterdir()}
+                           - {p.name for p in others})
+    for name in names:
+        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 def test_missing_config_exit_1(tmp_path, capsys):
@@ -227,17 +250,20 @@ def test_max_backtracks_is_an_unknown_key(tmp_path, capsys):
 
 def test_gamma_half_passes_the_vgm_stall(tmp_path):
     # the README's plain-Picard dam-vgm setting: at the default gamma
-    # this run stalls at q = 0.80224609375 after 401 iterations (exit 2)
-    cfg = tmp_path / "gamma.ini"
-    cfg.write_text("[solver]\nanderson = 0\n[line_search]\ngamma = 0.5\n")
-    out = tmp_path / "o"
-    rc = run_cli("solve", "--preset", "dam-vgm", "--mesh", "triangular:16x16",
-                 "--solver", "mixed", "--config", str(cfg), "--out", str(out))
-    assert rc == 0
-    rows = [line.split(",")[:4]
-            for line in (out / "report.csv").read_text().splitlines()[1:]]
-    assert rows == [["0", "0.0", "converged", "1"],
-                    ["1", "1.0", "converged", "8"]]
+    # this run stalls at q = 0.80224609375 after 401 iterations (exit 2);
+    # with Anderson mixing at its default depth gamma = 0.5 passes too
+    for solver, last in (("[solver]\nanderson = 0\n", "8"), ("", "9")):
+        cfg = tmp_path / "gamma.ini"
+        cfg.write_text(solver + "[line_search]\ngamma = 0.5\n")
+        out = tmp_path / f"o{last}"
+        rc = run_cli("solve", "--preset", "dam-vgm",
+                     "--mesh", "triangular:16x16", "--solver", "mixed",
+                     "--config", str(cfg), "--out", str(out))
+        assert rc == 0
+        rows = [line.split(",")[:4] for line in
+                (out / "report.csv").read_text().splitlines()[1:]]
+        assert rows == [["0", "0.0", "converged", "1"],
+                        ["1", "1.0", "converged", last]]
 
 
 def test_readme_config_example_accepted(tmp_path):
@@ -276,6 +302,7 @@ def test_mesh_file_input(tmp_path):
     rc = run_cli("solve", "--preset", "dam-unconfined",
                  "--mesh", str(mpath), "--out", str(tmp_path / "o"))
     assert rc == 0
+    assert (tmp_path / "o" / "report.csv").exists()
 
 
 def test_mesh_help_reads_the_grid_tables(capsys):
@@ -518,15 +545,40 @@ def test_help_exit_0():
     assert run_cli("--help") == 0
 
 
-def test_console_script_installed():
-    import shutil
-    import subprocess
+def test_console_script_installed(tmp_path):
+    # the installed entry point, as against main(): its help, an MPFA-O
+    # solve (the installed package's _mpfa), a failing continuation and
+    # a config error, each with its exit status
     exe = shutil.which("richardsfv")
     if exe is None:
         pytest.skip("console script not on PATH")
-    out = subprocess.run([exe, "--help"], capture_output=True, text=True)
+
+    def run(*argv):
+        return subprocess.run([exe, *argv], capture_output=True, text=True,
+                              cwd=tmp_path)
+
+    out = run("--help")
     assert out.returncode == 0
     assert "solve" in out.stdout
+    out = run("solve", "--preset", "verify-linear",
+              "--mesh", "triangular:12x12", "--scheme", "mpfa-o",
+              "--out", "mpfa")
+    assert out.returncode == 0, out.stderr
+    for name in ("report.csv", "trace_step000.csv", "solution.vtk"):
+        assert (tmp_path / "mpfa" / name).exists(), name
+    (tmp_path / "hard.ini").write_text(
+        "[solver]\nmethod = newton\nnit_max = 1\n"
+        "eps_rel = 1e-14\neps_abs = 1e-14\n")
+    out = run("solve", "--preset", "dam-unconfined",
+              "--mesh", "cartesian:10x10", "--config", "hard.ini",
+              "--out", "hard")
+    assert out.returncode == 2, out.stderr
+    (tmp_path / "bad.ini").write_text("[solver]\nanderson = -1\n")
+    out = run("solve", "--config", "bad.ini", "--out", "bad")
+    assert out.returncode == 1
+    assert out.stderr == \
+        "error: config [solver]: anderson must be an integer >= 0, got -1\n"
+    assert not (tmp_path / "bad").exists()
 
 
 def test_config_percent_is_literal_in_dir(tmp_path):

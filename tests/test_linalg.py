@@ -25,7 +25,7 @@ def test_identity():
     b = np.array([3.0, -1.0, 2.5])
     x, rep = solve(sps.identity(3, format="csr"), b)
     np.testing.assert_allclose(x, b, rtol=1e-14)
-    assert rep.iterations <= 1
+    assert rep.iterations == 0
     assert not rep.breakdown
 
 
@@ -57,7 +57,7 @@ def test_zero_rhs():
     assert rep.rel_residual == 0.0
 
 
-def test_krylov_path_against_direct_oracle():
+def test_large_system_matches_spsolve():
     # 2500 unknowns, larger than any system the benchmarks solve; the
     # one sparse LU path serves every size
     n = 2500

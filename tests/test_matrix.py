@@ -24,7 +24,8 @@ PRESETS = ("dam-vgm", "dam-unconfined", "layered-slab")
 MESHES = ("400", "triangular:16x16")
 
 
-def run_matrix(solver_cfg=None, cont_cfg=None):
+def run_matrix(solver_cfg=None, cont_cfg=None, presets=PRESETS,
+               meshes=MESHES):
     """(preset, mesh, spec, entry, row, report) of every run, in
     matrix.csv order, with solver_cfg and cont_cfg as the entries' base
     configs (None: the defaults); each report is recorded as sweep's
@@ -32,8 +33,8 @@ def run_matrix(solver_cfg=None, cont_cfg=None):
     entries = make_entries(SCHEMES, METHODS, KINDS, solver_cfg, cont_cfg)
     runs = []
     with pytest.MonkeyPatch.context() as mp:
-        for preset in PRESETS:
-            for mesh in MESHES:
+        for preset in presets:
+            for mesh in meshes:
                 spec = build_preset(preset, mesh)
                 reports = []
 
@@ -49,17 +50,24 @@ def run_matrix(solver_cfg=None, cont_cfg=None):
     return runs
 
 
-def check_table(name, solver_cfg=None):
-    """Fail with exactly the rows of run_matrix(solver_cfg) that differ
-    from the pinned table data/<name>."""
+def table_rows(solver_cfg=None, presets=PRESETS, meshes=MESHES):
+    """The rows of run_matrix, as the pinned tables hold them."""
+    return [[preset, mesh, r.scheme, r.solver, r.kind, r.outcome,
+             repr(r.final_q), str(r.cont_success), str(r.cont_failed),
+             str(r.total_iters)]
+            for preset, mesh, _, _, r, _ in
+            run_matrix(solver_cfg, presets=presets, meshes=meshes)]
+
+
+def check_table(name, solver_cfg=None, presets=PRESETS, meshes=MESHES):
+    """Fail with exactly the rows of table_rows(...) that differ from the
+    pinned table data/<name>."""
     with open(DATA / name, newline="") as fh:
         table = list(csv.reader(fh))
     header, expected = table[0], table[1:]
-    got = [[preset, mesh, r.scheme, r.solver, r.kind, r.outcome,
-            repr(r.final_q), str(r.cont_success), str(r.cont_failed),
-            str(r.total_iters)]
-           for preset, mesh, _, _, r, _ in run_matrix(solver_cfg)]
-    assert len(got) == len(expected) == 72
+    got = table_rows(solver_cfg, presets, meshes)
+    assert len(got) == len(expected) == \
+        len(presets) * len(meshes) * len(SCHEMES) * len(METHODS) * len(KINDS)
     moved = [f"expected {','.join(e)}\n     got {','.join(g)}"
              for e, g in zip(expected, got) if e != g]
     if moved:

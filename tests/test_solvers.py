@@ -319,11 +319,37 @@ def test_non_finite_mixing_takes_the_plain_step(tri512, monkeypatch):
     assert mixed.records == plain.records
 
 
-@pytest.mark.parametrize("value", [-1, 1.5])
+@pytest.mark.parametrize("value", [-1, 1.5, True])
 def test_anderson_must_be_a_nonnegative_integer(value):
     with pytest.raises(ValueError, match=re.escape(
             f"anderson must be an integer >= 0, got {value!r}") + "$"):
         SolverConfig(anderson=value)
+
+
+def _guess_2d():
+    disc = Discretization(build_dam("unconfined", "cartesian:5x5"), "tpfa")
+    run_continuation(disc, h0=np.full((25, 1), 6.0))
+
+
+@pytest.mark.parametrize("make, message", [
+    (partial(SolverConfig, nit_max=2.5),
+     "nit_max must be an integer >= 1, got 2.5"),
+    (partial(SolverConfig, nit_max=True),
+     "nit_max must be an integer >= 1, got True"),
+    (partial(SolverConfig, nit_pic=1.5),
+     "nit_pic must be an integer >= 0, got 1.5"),
+    (partial(LineSearchConfig, enabled_after=2.5),
+     "enabled_after must be an integer >= 0, got 2.5"),
+    (partial(WarmupConfig, nit_nls=1.5),
+     "nit_nls must be an integer >= 0, got 1.5"),
+    (_guess_2d, "initial guess has shape (25, 1), expected (25,)"),
+], ids=["nit_max", "nit_max-bool", "nit_pic", "enabled_after", "nit_nls",
+        "guess-2d"])
+def test_counts_are_integers_and_the_guess_is_a_field(make, message):
+    # a float count used to fail later in range(), a bool to run as 1,
+    # and a column guess to pass the length check and fail to broadcast
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 class SingularJacobian:
@@ -417,6 +443,8 @@ def test_solver_config_validation():
         SolverConfig(eps_abs=float("inf"))
     with pytest.raises(ValueError):
         SolverConfig(nit_max=0)
+    # numpy integers are counts too
+    assert SolverConfig(nit_max=np.int64(2), anderson=np.int32(1)).nit_max == 2
     with pytest.raises(TypeError):
         SolverConfig(eps_div=1e10)  # the constant EPS_DIV, not a field
     with pytest.raises(ValueError):
