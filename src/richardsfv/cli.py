@@ -116,6 +116,10 @@ def _read_config(path, args=None):
             with open(path) as f:
                 cp.read_file(f, path)
         except configparser.Error as exc:
+            # a parsing error's own message spans lines: name its line
+            if isinstance(exc, configparser.ParsingError):
+                lineno = getattr(exc, "lineno", None) or exc.errors[0][0]
+                exc = f"line {lineno}: {str(exc).splitlines()[0]}"
             raise UsageError(f"cannot parse config {path}: {exc}") from None
     for section in cp.sections():
         if section not in SECTIONS:
@@ -244,14 +248,10 @@ def main(argv=None):
         parser.print_help()
         return 1
     try:
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
+        return {"solve": cmd_solve, "sweep": cmd_sweep}[args.command](args)
     except (UsageError, ValueError, OSError, AssemblyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 1
 
 
 if __name__ == "__main__":

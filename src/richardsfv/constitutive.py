@@ -16,6 +16,7 @@ from typing import Union
 import numpy as np
 
 from . import _kernels
+from .solvers import _check_reals
 
 __all__ = [
     "VgmParams",
@@ -47,6 +48,7 @@ class VgmParams:
     n: float
 
     def __post_init__(self):
+        _check_reals(self, finite=("alpha", "n"))
         if not 0.0 <= self.theta_r < self.theta_s <= 1.0:
             raise ValueError(
                 f"need 0 <= theta_r < theta_s <= 1, got "
@@ -85,6 +87,7 @@ class UnconfinedParams:
     alpha_theta: float = 1e-3  # 1/m
 
     def __post_init__(self):
+        _check_reals(self, finite=("alpha_theta",))
         if not 0.0 < self.phi <= 1.0:
             raise ValueError(f"porosity must be in (0, 1], got {self.phi}")
         if not 0.0 < self.alpha_phi < 1.0:

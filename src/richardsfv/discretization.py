@@ -9,7 +9,6 @@ permeability multiplying the base flux depends only on the two adjacent
 cells, via the continuation wrapper.
 """
 
-import copy
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -137,9 +136,10 @@ class ProblemSpec:
 class Assembly:
     """Picard system at a given state: A (CSR), b, and F = A h - b.
 
-    A is laid on its Discretization's fixed pattern: its indptr and
-    indices are that pattern's read-only arrays, shared by every matrix
-    the Discretization assembles, so change a copy's structure, not A's.
+    A is laid on its Discretization's fixed pattern by the
+    Discretization's Ordering (order.matrix): its indptr and indices are
+    that Ordering's read-only arrays, shared by every matrix it hands
+    out, so change a copy's structure, not A's.
     """
 
     A: sps.csr_matrix
@@ -270,11 +270,12 @@ class Discretization:
     (cell_r0), and the interior faces with their right cells (int_faces,
     int_r). On first use it also fixes the one sparsity pattern of its
     Picard matrices and Jacobians (pattern), a fill-reducing ordering of
-    that pattern (order), which every linear solve reuses, and the flux
-    operator (flux_op), the face x cell CSR matrix of the stencils
-    (w, col, ptr). The per-iteration work is only constitutive
-    evaluation, one product with the flux operator and one bincount per
-    entry-to-slot map into the pattern's data. Only assemble_jacobian
+    that pattern (order), which hands out every assembled matrix and
+    which every linear solve reuses, and the flux operator (flux_op),
+    the face x cell CSR matrix of the stencils (w, col, ptr). The
+    per-iteration work is only constitutive evaluation, one product
+    with the flux operator and one bincount per entry-to-slot map into
+    the pattern's data. Only assemble_jacobian
     needs the kr derivatives; residual, assemble and face_fluxes
     evaluate kr alone.
     """
@@ -343,7 +344,6 @@ class Discretization:
         indptr = np.zeros(n + 1, dtype=np.intc)
         np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
         indices = (keys % n).astype(np.intc)
-        indptr.flags.writeable = indices.flags.writeable = False
         return SparsityPattern(indptr, indices, a_face, sign_w,
                                slot[:len(a_face)], slot[len(a_face):])
 
@@ -356,26 +356,12 @@ class Discretization:
 
     @cached_property
     def order(self):
-        """The fill-reducing Ordering of the pattern, computed once and
-        passed to every linear solve of this discretization. It holds
-        the very index arrays every assembled matrix shares, so a solve
-        recognises the pattern without comparing it."""
-        return linalg.Ordering(self._blank.indptr, self._blank.indices)
-
-    @cached_property
-    def _blank(self):
-        """A matrix of the pattern with zero values, the structure every
-        assembled matrix shares."""
-        pat = self.pattern
-        return sps.csr_matrix((np.zeros(len(pat.indices)), pat.indices,
-                               pat.indptr), shape=(self.n_cells, self.n_cells))
-
-    def _matrix(self, data):
-        # a shallow copy shares the blank matrix's checked structure, so
-        # scipy does not validate the pattern again for every matrix
-        A = copy.copy(self._blank)
-        A.data = data
-        return A
+        """The fill-reducing Ordering of the pattern, built on first use
+        (the first assembly) and passed to every linear solve of this
+        discretization. Every A and J is order.matrix(...) and shares
+        its index arrays, so a solve recognises the pattern without
+        comparing it."""
+        return linalg.Ordering(self.pattern.indptr, self.pattern.indices)
 
     def _a_data(self, K):
         pat = self.pattern
@@ -416,7 +402,7 @@ class Discretization:
     def assemble(self, h, q, kind):
         """Picard matrix A(h), right-hand side b(h), and F = A h - b."""
         flux0, K, _, _ = self._face_system(h, q, kind, False)
-        A = self._matrix(self._a_data(K))
+        A = self.order.matrix(self._a_data(K))
         b = self.b_base - self._scatter(K * self.g)
         return Assembly(A=A, b=b, F=self._residual(flux0, K))
 
@@ -431,7 +417,7 @@ class Discretization:
         data += np.bincount(self.pattern.j_slot,
                             np.concatenate([jl, jr, -jl, -jr]),
                             minlength=len(data))
-        J = self._matrix(data)
+        J = self.order.matrix(data)
         if with_residual:
             return J, self._residual(flux0, K)
         return J

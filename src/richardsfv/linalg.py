@@ -9,10 +9,10 @@ A Discretization keeps one Ordering for the fixed pattern of all its
 matrices; a solve given no Ordering builds one from A's own pattern.
 Every solve takes one path: A is checked (square, no empty row) and
 brought to canonical float CSR form, then compared with the Ordering's
-pattern and laid into the Ordering's own P A P^T matrix (see
-Ordering). A matrix a Discretization assembles is already in that form
-and shares the Ordering's index arrays, so both steps leave it as it is
-and compare nothing.
+pattern and permuted to P A P^T (see Ordering). A matrix a
+Discretization assembles comes from its Ordering's matrix, already in
+that form and on the Ordering's index arrays, so both steps leave it as
+it is and compare nothing.
 SuperLU factors without relaxed supernodes and with panels of one
 column (RELAX, PANEL_SIZE): performance parameters only, which leave
 the factors' nonzeros unchanged and store no padding zeros. The true
@@ -20,6 +20,7 @@ residual is recomputed after each solve, so a returned solution is one
 whose residual was checked.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,39 +89,39 @@ class Ordering:
     matrix of the pattern out as the CSC data of P A P^T, whose
     structure is csc_indices and csc_indptr.
 
-    An Ordering owns one P A P^T matrix, PAPt, whose data every solve
-    with it refills, so solve must not run concurrently on one
-    Ordering.
+    An Ordering keeps its own copy of the pattern in both layouts,
+    read-only: CSR (indptr, indices) and the CSC structure of P A P^T.
+    matrix and permuted hand out new matrices on them; nothing of an
+    Ordering changes after it is built.
     """
 
     def __init__(self, indptr, indices):
-        self.indptr = np.asarray(indptr)
-        self.indices = np.asarray(indices)
-        n = len(self.indptr) - 1
+        n = len(indptr) - 1
         self.shape = (n, n)
-        nnz = len(self.indices)
-        entries = sps.csr_matrix((np.arange(1, nnz + 1), self.indices,
-                                  self.indptr), shape=self.shape)
-        if not entries.has_canonical_format:
+        nnz = len(indices)
+        # entry numbers, from 1 so that no entry is an explicit zero
+        self.entries = sps.csr_matrix(
+            (np.arange(1, nnz + 1), np.array(indices), np.array(indptr)),
+            shape=self.shape)
+        if not self.entries.has_canonical_format:
             raise ValueError(
                 "an ordering needs a pattern with sorted indices and no "
                 "duplicates")
-        standin = sps.csr_matrix((np.full(nnz, -1.0), self.indices,
-                                  self.indptr), shape=self.shape) + \
+        self.indptr, self.indices = self.entries.indptr, self.entries.indices
+        standin = self.matrix(np.full(nnz, -1.0)) + \
             sps.diags(np.diff(self.indptr) + 1.0)
         self.p = np.argsort(spla.spilu(
             standin.tocsc(), drop_tol=1.0, fill_factor=1,
             permc_spec="MMD_AT_PLUS_A", relax=RELAX,
             panel_size=PANEL_SIZE).perm_c)
         # entry numbers laid out as P A P^T in CSC are the gather map;
-        # they start at 1, so that no entry is an explicit zero
-        PAPt = entries[self.p].tocsc()[:, self.p]
+        # marked canonical here once, so that splu checks no copy again
+        PAPt = self.permuted_entries = self.entries[self.p].tocsc()[:, self.p]
+        PAPt.sum_duplicates()
         self.gather = PAPt.data - 1
-        self.csc_indices = PAPt.indices.astype(np.intc, copy=False)
-        self.csc_indptr = PAPt.indptr.astype(np.intc, copy=False)
-        self.PAPt = sps.csc_matrix(
-            (np.zeros(nnz), self.csc_indices, self.csc_indptr),
-            shape=self.shape)
+        self.csc_indices, self.csc_indptr = PAPt.indices, PAPt.indptr
+        for shared in (self.indptr, self.indices, PAPt.indices, PAPt.indptr):
+            shared.flags.writeable = False
 
     def matches(self, A):
         """True when A is a CSR matrix with exactly this pattern."""
@@ -128,13 +129,21 @@ class Ordering:
             A.shape == self.shape and \
             _same(A.indptr, self.indptr) and _same(A.indices, self.indices)
 
+    def matrix(self, data):
+        """A new float CSR matrix of this pattern with entries data, on
+        the Ordering's indptr and indices: a shallow copy, which scipy
+        does not validate again."""
+        A = copy.copy(self.entries)
+        A.data = np.asarray(data, dtype=float)
+        return A
+
     def permuted(self, A):
-        """PAPt refilled with the data of A, a float CSR matrix of this
-        pattern."""
-        # every gather index is in range; mode="clip" skips the bounds
-        # check's buffer
-        A.data.take(self.gather, out=self.PAPt.data, mode="clip")
-        return self.PAPt
+        """A new P A P^T in CSC form, for A a float CSR matrix of this
+        pattern, on the Ordering's csc_indices and csc_indptr."""
+        PAPt = copy.copy(self.permuted_entries)
+        # every gather index is in range; mode="clip" skips the check
+        PAPt.data = A.data.take(self.gather, mode="clip")
+        return PAPt
 
 
 def _same(a, b):

@@ -12,7 +12,8 @@ than raised. Each entry point takes a prebuilt Discretization, which
 holds the problem and the flux scheme.
 """
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
@@ -58,6 +59,19 @@ def _check_count(name, value, low):
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def _check_reals(config, finite=()):
+    """Refuse a float field of config that holds a bool or no real
+    number, and +inf in the fields named in finite; the range checks
+    that follow refuse NaN and -inf."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type is float and (isinstance(value, bool) or
+                                not isinstance(value, numbers.Real)):
+            raise ValueError(f"{f.name} must be a real number, got {value!r}")
+        if f.name in finite and value == np.inf:
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class LineSearchConfig:
     """Armijo backtracking controls.
@@ -73,6 +87,7 @@ class LineSearchConfig:
     gamma: float = 0.25
 
     def __post_init__(self):
+        _check_reals(self)
         if not 0.0 < self.gamma <= 0.5:
             raise ValueError(f"gamma must lie in (0, 0.5], got {self.gamma}")
         _check_count("enabled_after", self.enabled_after, 0)
@@ -87,6 +102,7 @@ class WarmupConfig:
     omega_fixed: float = 0.1
 
     def __post_init__(self):
+        _check_reals(self)
         if not 0.0 < self.omega_fixed <= 1.0:
             raise ValueError(
                 f"omega_fixed must lie in (0, 1], got {self.omega_fixed}")
@@ -114,6 +130,7 @@ class SolverConfig:
             raise ValueError(
                 f"unknown method {self.method!r} "
                 f"(supported: {', '.join(METHODS)})")
+        _check_reals(self)
         if not 0.0 < self.eps_rel < 1.0:
             raise ValueError(f"eps_rel must lie in (0, 1), got {self.eps_rel}")
         if not 0.0 < self.eps_abs < np.inf:

@@ -282,6 +282,14 @@ def test_config_bad_value_exit_1(tmp_path, capsys):
                  "--config", str(cfg))
     assert rc == 1
     assert "nit_max" in capsys.readouterr().err
+    # configparser's own message spans three lines
+    cfg.write_text("mesh = 400\n")
+    rc = run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot parse config {cfg}: line 1: File contains no "
+        "section headers.\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_solver_failure_exit_2(tmp_path):

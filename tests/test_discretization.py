@@ -954,6 +954,10 @@ def test_problemspec_validation_errors():
                     dirichlet={"left": 1.0})
     with pytest.raises(ValueError, match="source"):
         ProblemSpec(**ok, dirichlet={"left": 1.0}, source=np.ones(3))
+    with pytest.raises(ValueError, match="^cell_medium length does not "
+                                         "match cell count$"):
+        ProblemSpec(mesh=mesh, media=(med,), cell_medium=np.zeros(3),
+                    dirichlet={"left": 1.0})
 
 
 def test_medium_validation():

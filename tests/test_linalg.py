@@ -36,6 +36,8 @@ def test_tridiagonal_matches_dense_oracle():
     x, rep = solve(A, b)
     np.testing.assert_allclose(x, expect, atol=1e-10)
     assert rep.rel_residual <= 1e-10
+    # a dense array is brought to CSR form and solved the same way
+    assert np.array_equal(solve(A.toarray(), b)[0], x)
 
 
 def test_zero_row_is_singular():
@@ -384,6 +386,25 @@ def test_solves_on_one_ordering_leak_nothing():
         assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
     assert np.array_equal(A1.data, data1) and np.array_equal(A2.data, data2)
     assert not np.array_equal(own[0], own[1])
+
+
+def test_an_ordering_hands_out_new_matrices_and_keeps_no_buffer():
+    A1 = _grid_matrix(13)
+    A2 = _random_pattern_values(A1, 14)
+    order = Ordering(A1.indptr, A1.indices)
+    P1 = order.permuted(A1)
+    data1 = P1.data.copy()
+    P2 = order.permuted(A2)
+    assert P2 is not P1 and np.array_equal(P1.data, data1)
+    assert P1.indices is P2.indices is order.csc_indices
+    assert P1.indptr is P2.indptr is order.csc_indptr
+    d = np.arange(1.0, A1.nnz + 1)
+    M = order.matrix(d)
+    assert M.indptr is order.indptr and M.indices is order.indices
+    assert np.array_equal(M.data, d) and order.matches(M)
+    assert _check_matrix(M, np.ones(A1.shape[0]))[0] is M
+    assert not (order.indptr.flags.writeable or
+                order.csc_indices.flags.writeable)
 
 
 def test_ordering_refuses_a_non_canonical_pattern():

@@ -323,6 +323,9 @@ def test_degenerate_cells_rejected():
         build_mesh(verts, [[0, 1, 1]])  # repeated vertex
     with pytest.raises(MeshTopologyError):
         build_mesh([(0, 0), (1, 0), (1, 1)], [])  # no cells
+    with pytest.raises(MeshTopologyError,
+                       match=r"^vertices must be an \(nv, 2\) array$"):
+        build_mesh([(0, 0, 0), (1, 0, 0), (1, 1, 0)], [[0, 1, 2]])
 
 
 def test_cw_cell_is_normalized_to_ccw():

@@ -326,9 +326,9 @@ def test_anderson_must_be_a_nonnegative_integer(value):
         SolverConfig(anderson=value)
 
 
-def _guess_2d():
+def _guess(shape):
     disc = Discretization(build_dam("unconfined", "cartesian:5x5"), "tpfa")
-    run_continuation(disc, h0=np.full((25, 1), 6.0))
+    run_continuation(disc, h0=np.full(shape, 6.0))
 
 
 @pytest.mark.parametrize("make, message", [
@@ -342,9 +342,11 @@ def _guess_2d():
      "enabled_after must be an integer >= 0, got 2.5"),
     (partial(WarmupConfig, nit_nls=1.5),
      "nit_nls must be an integer >= 0, got 1.5"),
-    (_guess_2d, "initial guess has shape (25, 1), expected (25,)"),
+    (partial(_guess, (25, 1)),
+     "initial guess has shape (25, 1), expected (25,)"),
+    (partial(_guess, 24), "initial guess has 24 entries for 25 cells"),
 ], ids=["nit_max", "nit_max-bool", "nit_pic", "enabled_after", "nit_nls",
-        "guess-2d"])
+        "guess-2d", "guess-short"])
 def test_counts_are_integers_and_the_guess_is_a_field(make, message):
     # a float count used to fail later in range(), a bool to run as 1,
     # and a column guess to pass the length check and fail to broadcast
@@ -458,6 +460,9 @@ def test_solver_config_validation():
         WarmupConfig(omega_fixed=0.0)
 
 
+_VGM = partial(VgmParams, theta_r=0.05, theta_s=0.4, alpha=1.0, n=1.2)
+
+
 @pytest.mark.parametrize("make, name, message", [
     (SolverConfig, "eps_abs", "eps_abs must be positive and finite, got nan"),
     (SolverConfig, "eps_rel", "eps_rel must lie in (0, 1), got nan"),
@@ -467,10 +472,33 @@ def test_solver_config_validation():
     (partial(VgmParams, theta_r=0.05, theta_s=0.4, alpha=1.0, n=1.2),
      "n", "n must exceed 1, got nan"),
     (UnconfinedParams, "alpha_theta", "alpha_theta must be positive, got nan"),
+    # a row may give (name, value) in place of a name, which gets NaN
+    *(pytest.param(make, (name, value), message, id=f"{name}={value!r}")
+      for make, name, value, message in [
+          (SolverConfig, "eps_abs", True,
+           "eps_abs must be a real number, got True"),
+          (SolverConfig, "eps_rel", "0.1",
+           "eps_rel must be a real number, got '0.1'"),
+          (WarmupConfig, "omega_fixed", True,
+           "omega_fixed must be a real number, got True"),
+          (LineSearchConfig, "gamma", None,
+           "gamma must be a real number, got None"),
+          (_VGM, "alpha", True, "alpha must be a real number, got True"),
+          (_VGM, "alpha", "1", "alpha must be a real number, got '1'"),
+          (_VGM, "alpha", np.inf, "alpha must be finite, got inf"),
+          (_VGM, "n", np.inf, "n must be finite, got inf"),
+          (UnconfinedParams, "phi", True,
+           "phi must be a real number, got True"),
+          (UnconfinedParams, "alpha_theta", np.inf,
+           "alpha_theta must be finite, got inf"),
+          (UnconfinedParams, "alpha_theta", -np.inf,
+           "alpha_theta must be positive, got -inf"),
+      ]),
 ])
 def test_nan_fails_the_range_checks(make, name, message):
+    name, value = (name, float("nan")) if isinstance(name, str) else name
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        make(**{name: float("nan")})
+        make(**{name: value})
 
 
 def test_trace_rows_shape(dam400):
