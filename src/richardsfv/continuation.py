@@ -190,7 +190,9 @@ def sweep(spec, entries):
 
     Each scheme's Discretization is built once, when its first entry
     runs, and all of that scheme's entries run on it: its stencils,
-    pattern, ordering and flux operator depend only on (spec, scheme).
+    pattern, ordering and flux operator depend only on (spec, scheme),
+    and the last three, which a Discretization builds on first use, are
+    built with it, before the first timed continuation.
     A scheme whose build raises AssemblyError is refused: the reason is
     logged once and each of its entries is a row with outcome "refused",
     zero counts, final_q 0 and wall_seconds 0. Setup is in no row's
@@ -203,10 +205,13 @@ def sweep(spec, entries):
     for entry in entries:
         if entry.scheme not in discs:
             try:
-                discs[entry.scheme] = Discretization(spec, entry.scheme)
+                disc = Discretization(spec, entry.scheme)
             except AssemblyError as exc:
                 logger.warning("scheme %s refused: %s", entry.scheme, exc)
-                discs[entry.scheme] = None
+                disc = None
+            else:  # built now, so that no row times them
+                disc.pattern, disc.flux_op, disc.order
+            discs[entry.scheme] = disc
         disc = discs[entry.scheme]
         labels = (entry.scheme, entry.solver_cfg.method, entry.cont_cfg.kind)
         if disc is None:

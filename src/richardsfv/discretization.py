@@ -149,14 +149,15 @@ class Assembly:
 
 class SparsityPattern(NamedTuple):
     """Fixed CSR structure (indptr, indices) of a Discretization's
-    matrices, and where each assembled entry goes in its data array."""
+    matrices, and the two CSR operators that fill their data, one row
+    per data slot: a_op @ K is A's data, for K the face permeabilities,
+    and j_op @ [dk_l flux0; dk_r flux0] on the interior faces is the
+    Jacobian's kr-derivative part."""
 
     indptr: np.ndarray
     indices: np.ndarray
-    a_face: np.ndarray  # face of each entry of A
-    sign_w: np.ndarray  # its signed stencil weight
-    a_slot: np.ndarray  # its data slot
-    j_slot: np.ndarray  # data slots of the Jacobian's kr-derivative entries
+    a_op: sps.csr_matrix  # slot x face: the signed stencil weights
+    j_op: sps.csr_matrix  # slot x 2 interior faces: weights +-1
 
 
 def tpfa_transmissibilities(spec):
@@ -274,10 +275,10 @@ class Discretization:
     which every linear solve reuses, and the flux operator (flux_op),
     the face x cell CSR matrix of the stencils (w, col, ptr). The
     per-iteration work is only constitutive evaluation, one product
-    with the flux operator and one bincount per entry-to-slot map into
-    the pattern's data. Only assemble_jacobian
-    needs the kr derivatives; residual, assemble and face_fluxes
-    evaluate kr alone.
+    with the flux operator and, for a matrix, one product with each of
+    the pattern's operators it needs (a_op for A; a_op and j_op for J).
+    Only assemble_jacobian needs the kr derivatives; residual, assemble
+    and face_fluxes evaluate kr alone.
     """
 
     def __init__(self, spec, scheme="tpfa"):
@@ -325,27 +326,50 @@ class Discretization:
         """The one CSR sparsity pattern of A(h) and J(h), built on first
         use: every stencil entry of A and the four kr-derivative entries
         (rows and columns cl, cr) of each interior face, which for TPFA
-        and MPFA-O fall inside A's. Entry e of A, sign_w[e] *
-        K[a_face[e]], adds into data slot a_slot[e]."""
+        and MPFA-O fall inside A's. One stable sort of the entries by
+        (row, column) gives both the slots and the operators' rows, each
+        row listing its entries in the order they are generated here:
+        A's stencil entries on the faces' first cells, then on the
+        interior faces' second cells with the weights negated, then the
+        derivative entries (cl, cl) +dk_l, (cl, cr) +dk_r, (cr, cl)
+        -dk_l and (cr, cr) -dk_r, each times flux0."""
         n = self.n_cells
         entry_face = np.repeat(np.arange(len(self.face_ids)),
                                np.diff(self.ptr))
         interior_entry = self.cell_r[entry_face] >= 0
         a_face = np.concatenate([entry_face, entry_face[interior_entry]])
-        a_rows = np.concatenate([self.cell_l[entry_face],
-                                 self.cell_r[entry_face[interior_entry]]])
-        a_cols = np.concatenate([self.col, self.col[interior_entry]])
         sign_w = np.concatenate([self.w, -self.w[interior_entry]])
-        cl = self.cell_l[self.int_faces]
-        cr = self.cell_r[self.int_faces]
-        keys, slot = np.unique(
-            np.concatenate([a_rows, cl, cl, cr, cr]) * n +
-            np.concatenate([a_cols, cl, cr, cl, cr]), return_inverse=True)
+        cl, cr = self.cell_l[self.int_faces], self.int_r
+        keys = np.concatenate([
+            self.cell_l[entry_face] * n + self.col,
+            self.cell_r[entry_face[interior_entry]] * n +
+            self.col[interior_entry],
+            cl * n + cl, cl * n + cr, cr * n + cl, cr * n + cr])
+        at = np.argsort(keys, kind="stable")
+        keys = keys[at]
+        # bounds[s]:bounds[s + 1] are slot s's entries in sorted order
+        new = np.ones(len(keys) + 1, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=new[1:-1])
+        bounds = np.flatnonzero(new)
+        rows, cols = np.divmod(keys[bounds[:-1]], n)
         indptr = np.zeros(n + 1, dtype=np.intc)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-        indices = (keys % n).astype(np.intc)
-        return SparsityPattern(indptr, indices, a_face, sign_w,
-                               slot[:len(a_face)], slot[len(a_face):])
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+
+        n_a, n_j = len(a_face), 2 * len(cl)
+        of_a = at < n_a
+        a_ptr = np.zeros(len(at) + 1, dtype=np.intc)
+        np.cumsum(of_a, out=a_ptr[1:])
+        a_ptr = a_ptr[bounds]
+        a_at, j_at = at[of_a], at[~of_a] - n_a
+        neg = j_at >= n_j  # the (cr, cl) and (cr, cr) entries
+        slots = len(bounds) - 1
+        a_op = sps.csr_matrix(
+            (sign_w[a_at], a_face[a_at].astype(np.intc), a_ptr),
+            shape=(slots, len(self.face_ids)))
+        j_op = sps.csr_matrix(
+            (1.0 - 2.0 * neg, (j_at - n_j * neg).astype(np.intc),
+             (bounds - a_ptr).astype(np.intc)), shape=(slots, n_j))
+        return SparsityPattern(indptr, cols.astype(np.intc), a_op, j_op)
 
     @cached_property
     def flux_op(self):
@@ -362,11 +386,6 @@ class Discretization:
         its index arrays, so a solve recognises the pattern without
         comparing it."""
         return linalg.Ordering(self.pattern.indptr, self.pattern.indices)
-
-    def _a_data(self, K):
-        pat = self.pattern
-        return np.bincount(pat.a_slot, pat.sign_w * K[pat.a_face],
-                           minlength=len(pat.indices))
 
     # -- per-state evaluations ------------------------------------------
 
@@ -402,7 +421,7 @@ class Discretization:
     def assemble(self, h, q, kind):
         """Picard matrix A(h), right-hand side b(h), and F = A h - b."""
         flux0, K, _, _ = self._face_system(h, q, kind, False)
-        A = self.order.matrix(self._a_data(K))
+        A = self.order.matrix(self.pattern.a_op @ K)
         b = self.b_base - self._scatter(K * self.g)
         return Assembly(A=A, b=b, F=self._residual(flux0, K))
 
@@ -410,13 +429,11 @@ class Discretization:
         """Exact Jacobian of F at h: A plus the permeability-derivative
         entries of interior faces, on the same pattern as A."""
         flux0, K, dk_l, dk_r = self._face_system(h, q, kind, True)
-        data = self._a_data(K)
-        fi = self.int_faces
-        fl = flux0[fi]
-        jl, jr = dk_l[fi] * fl, dk_r[fi] * fl
-        data += np.bincount(self.pattern.j_slot,
-                            np.concatenate([jl, jr, -jl, -jr]),
-                            minlength=len(data))
+        pat = self.pattern
+        fl = flux0[self.int_faces]
+        data = pat.a_op @ K
+        data += pat.j_op @ np.concatenate([dk_l[self.int_faces] * fl,
+                                           dk_r[self.int_faces] * fl])
         J = self.order.matrix(data)
         if with_residual:
             return J, self._residual(flux0, K)

@@ -128,9 +128,10 @@ def build_mesh(vertices, cells, tag_edges=None):
     Raises
     ------
     MeshTopologyError
-        On non-finite vertex coordinates, out-of-range vertex indices,
-        degenerate cells, faces shared by more than two cells, or an
-        edge tagged twice; of faulty cells the lowest-numbered is named.
+        On no vertices or no cells, non-finite vertex coordinates,
+        out-of-range vertex indices, degenerate cells, faces shared by
+        more than two cells, or an edge tagged twice; of faulty cells
+        the lowest-numbered is named.
     """
     vertices = np.array(vertices, dtype=float, order="C")  # ours to freeze
     if vertices.ndim != 2 or vertices.shape[1] != 2:
@@ -140,6 +141,8 @@ def build_mesh(vertices, cells, tag_edges=None):
         raise MeshTopologyError(
             f"vertex {int(bad.argmax())} has a non-finite coordinate")
     nv = len(vertices)
+    if nv == 0:
+        raise MeshTopologyError("mesh has no vertices")
     n_cells = len(cells)
     if n_cells == 0:
         raise MeshTopologyError("mesh has no cells")
@@ -154,8 +157,7 @@ def build_mesh(vertices, cells, tag_edges=None):
     in_range = (flat >= 0) & (flat < nv)
     out_of_range = np.bincount(cell_of, weights=~in_range,
                                minlength=n_cells) > 0
-    xy = vertices[np.where(in_range, flat, 0)] if nv \
-        else np.zeros((len(flat), 2))
+    xy = vertices[np.where(in_range, flat, 0)]
 
     # per vertex count: repeats, signed shoelace area and centroid, each
     # row summed in loop order as a single polygon's would be

@@ -6,10 +6,11 @@ direction, then h <- h + omega * dh. The step matrix is the Jacobian
 fixed-relaxation warm-up, a full step, or backtracking line search under
 the Armijo acceptance test on ||F||_2. Picard steps past the warm-up
 are Anderson-mixed (Walker & Ni 2011) over the level's last few Picard
-updates unless SolverConfig.anderson is 0. Every run returns a full
-convergence trace; failures are encoded in the trace outcome rather
-than raised. Each entry point takes a prebuilt Discretization, which
-holds the problem and the flux scheme.
+updates unless SolverConfig.anderson is 0; a mixed direction that the
+line search rejects gives way to the plain Picard update. Every run
+returns a full convergence trace; failures are encoded in the trace
+outcome rather than raised. Each entry point takes a prebuilt
+Discretization, which holds the problem and the flux scheme.
 """
 
 import numbers
@@ -157,6 +158,9 @@ class IterationRecord:
     lin_res: float  # relative residual of the step's linear solve
     ls_used: bool = False
     accepted: bool = True
+    # the line search rejected the Anderson-mixed direction and searched
+    # the plain Picard update instead; not in rows()
+    fallback: bool = False
 
 
 @dataclass
@@ -250,8 +254,12 @@ def solve_nonlinear(disc, h0, q, kind, cfg=None):
 
     Stops when ||F||_2 < eps_rel ||F(h0)||_2 or ||F||_inf < eps_abs;
     also on nit_max, divergence (||F||_2 > EPS_DIV or non-finite), line
-    search exhaustion, or a linear solver failure. Returns the final
-    iterate and the full trace; no failure raises.
+    search exhaustion, or a linear solver failure. A line search that
+    rejects an Anderson-mixed direction clears the level's mixing
+    history and searches the plain Picard update once; that record is
+    flagged fallback, and only if the plain update fails too does the
+    level end as line_search_failed. Returns the final iterate and the
+    full trace; no failure raises.
     """
     cfg = cfg or SolverConfig()
     h = np.array(h0, dtype=float, copy=True)
@@ -285,10 +293,11 @@ def solve_nonlinear(disc, h0, q, kind, cfg=None):
         except linalg.SingularMatrixError:
             trace.outcome = LINEAR_SOLVE_FAILED
             return h, trace
+        plain = dh
         if phase == "picard" and cfg.anderson and k > cfg.warmup.nit_nls:
             dh = anderson_direction(history, h, dh, cfg.anderson)
 
-        ls_used = False
+        ls_used = fallback = False
         backtracks = 0
         if k <= cfg.warmup.nit_nls:
             omega = cfg.warmup.omega_fixed
@@ -298,10 +307,18 @@ def solve_nonlinear(disc, h0, q, kind, cfg=None):
             ls_used = True
             omega, backtracks, F_new = armijo_line_search(
                 disc, h, dh, q, kind, cfg, res2=res2)
+            if omega is None and dh is not plain:
+                # the mixed direction failed: restart the mixing from
+                # the plain update, and search that once
+                history.clear()
+                dh, fallback = plain, True
+                omega, backtracks, F_new = armijo_line_search(
+                    disc, h, dh, q, kind, cfg, res2=res2)
             if omega is None:
                 trace.records.append(IterationRecord(
                     k, phase, res2, resinf, 0.0, backtracks,
-                    rep.rel_residual, ls_used=True, accepted=False))
+                    rep.rel_residual, ls_used=True, accepted=False,
+                    fallback=fallback))
                 trace.outcome = LINE_SEARCH_FAILED
                 return h, trace
 
@@ -318,7 +335,7 @@ def solve_nonlinear(disc, h0, q, kind, cfg=None):
             resinf = np.inf
         trace.records.append(IterationRecord(
             k, phase, res2, resinf, omega, backtracks, rep.rel_residual,
-            ls_used=ls_used))
+            ls_used=ls_used, fallback=fallback))
 
         if res2 > EPS_DIV:
             trace.outcome = DIVERGED

@@ -267,6 +267,24 @@ def test_sweep_builds_one_discretization_per_scheme(monkeypatch):
     assert built == ["tpfa", "mpfa-o"]
 
 
+def test_sweep_times_no_setup(monkeypatch):
+    # the structures a Discretization builds on first use are built
+    # before every row's timed continuation, the first one included
+    seen = []
+
+    def built(disc, solver_cfg, cont_cfg):
+        seen.append(disc.scheme)
+        assert {"pattern", "flux_op", "order"} <= set(vars(disc))
+        return run_continuation(disc, solver_cfg, cont_cfg)
+
+    monkeypatch.setattr(cont_mod, "run_continuation", built)
+    spec = build_dam("unconfined", "cartesian:4x4")
+    entries = make_entries(["tpfa", "mpfa-o"], ["newton", "picard"],
+                           ["power"])
+    assert [r.outcome for r in sweep(spec, entries)] == ["ok"] * 4
+    assert seen == ["tpfa", "tpfa", "mpfa-o", "mpfa-o"]
+
+
 def test_sweep_labels_rows_with_the_configs_that_run():
     spec = build_dam("unconfined", "cartesian:4x4")
     entry = SweepEntry("tpfa", SolverConfig(method="newton"),

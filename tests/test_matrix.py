@@ -88,7 +88,8 @@ def test_matrix_gamma05_matches_table():
 
 
 def test_matrix_anderson3_matches_table():
-    # the defaults, Picard steps Anderson-mixed at depth 3: 68/72
-    # converged, 1295 iterations, 71 failed steps; against matrix.csv 20
-    # rows move, and three that fail either way take more iterations
+    # the defaults, Picard steps Anderson-mixed at depth 3 with the
+    # plain-step fallback: 68/72 converged, 1342 iterations, 65 failed
+    # steps; against matrix.csv 20 rows move, and three that fail either
+    # way take more iterations
     check_table("matrix_anderson3.csv")

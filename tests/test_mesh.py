@@ -321,8 +321,10 @@ def test_degenerate_cells_rejected():
         build_mesh(verts, [[0, 1, 2]])  # collinear, zero area
     with pytest.raises(MeshTopologyError):
         build_mesh(verts, [[0, 1, 1]])  # repeated vertex
-    with pytest.raises(MeshTopologyError):
-        build_mesh([(0, 0), (1, 0), (1, 1)], [])  # no cells
+    with pytest.raises(MeshTopologyError, match="^mesh has no cells$"):
+        build_mesh([(0, 0), (1, 0), (1, 1)], [])
+    with pytest.raises(MeshTopologyError, match="^mesh has no vertices$"):
+        build_mesh(np.empty((0, 2)), [[0, 1, 2]])
     with pytest.raises(MeshTopologyError,
                        match=r"^vertices must be an \(nv, 2\) array$"):
         build_mesh([(0, 0, 0), (1, 0, 0), (1, 1, 0)], [[0, 1, 2]])

@@ -10,6 +10,13 @@ medium holds every cell and evaluates the Mualem formula only where it
 is needed. On TPFA every result is bitwise the oracle's; on MPFA-O the
 matrix product sums a stencil in another order, so the last digits may
 differ.
+
+The matrices' data were once scattered into the pattern's slots by one
+bincount per per-entry map (the face, signed weight and slot of each
+entry of A, the slot of each kr-derivative entry of J). That scatter is
+kept here as the oracle of the pattern's two operators, whose rows sum
+the same terms in the same order, so A and J are bitwise the same on
+either scheme.
 """
 
 from dataclasses import replace
@@ -194,6 +201,85 @@ def _agree(new, old, scheme):
     else:
         scale = np.abs(old).max()
         assert np.abs(new - old).max() <= 1e-13 * scale
+
+
+def _oracle_pattern(disc):
+    """The pattern as np.unique over every entry's (row, column) key,
+    with the per-entry maps: A's entry e adds sign_w[e] * K[a_face[e]]
+    into slot a_slot[e], and the kr-derivative entries (cl, cl) dk_l,
+    (cl, cr) dk_r, (cr, cl) -dk_l and (cr, cr) -dk_r of the interior
+    faces, each times flux0, add into their slots j_slot."""
+    n = disc.n_cells
+    entry_face = np.repeat(np.arange(len(disc.face_ids)), np.diff(disc.ptr))
+    interior_entry = disc.cell_r[entry_face] >= 0
+    a_face = np.concatenate([entry_face, entry_face[interior_entry]])
+    a_rows = np.concatenate([disc.cell_l[entry_face],
+                             disc.cell_r[entry_face[interior_entry]]])
+    a_cols = np.concatenate([disc.col, disc.col[interior_entry]])
+    sign_w = np.concatenate([disc.w, -disc.w[interior_entry]])
+    cl = disc.cell_l[disc.int_faces]
+    cr = disc.cell_r[disc.int_faces]
+    keys, slot = np.unique(
+        np.concatenate([a_rows, cl, cl, cr, cr]) * n +
+        np.concatenate([a_cols, cl, cr, cl, cr]), return_inverse=True)
+    indptr = np.zeros(n + 1, dtype=np.intc)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return (indptr, (keys % n).astype(np.intc), a_face, sign_w,
+            slot[:len(a_face)], slot[len(a_face):])
+
+
+def _oracle_data(disc, maps, flux0, K, dk_l, dk_r):
+    """The data of A and J scattered through the per-entry maps of
+    _oracle_pattern, one bincount each."""
+    _, indices, a_face, sign_w, a_slot, j_slot = maps
+    A = np.bincount(a_slot, sign_w * K[a_face], minlength=len(indices))
+    fi = disc.int_faces
+    fl = flux0[fi]
+    jl, jr = dk_l[fi] * fl, dk_r[fi] * fl
+    J = A + np.bincount(j_slot, np.concatenate([jl, jr, -jl, -jr]),
+                        minlength=len(indices))
+    return A, J
+
+
+class GivenFaces(Discretization):
+    """A Discretization whose face system returns the arrays in faces,
+    (flux0, K, dk_l, dk_r), whatever the state."""
+
+    def _face_system(self, h, q, kind, need_deriv):
+        flux0, K, dk_l, dk_r = self.faces
+        return (flux0, K, dk_l, dk_r) if need_deriv else \
+            (flux0, K, None, None)
+
+
+@pytest.mark.parametrize("mode", ["central", "upwind"])
+@pytest.mark.parametrize("grid", ["400", "triangular:8x8"])
+@pytest.mark.parametrize("scheme", ["tpfa", "mpfa-o"])
+def test_operators_are_the_former_scatter(scheme, grid, mode):
+    disc = GivenFaces(build_dam("vgm", grid, mode), scheme)
+    maps = _oracle_pattern(disc)
+    assert np.array_equal(disc.pattern.indptr, maps[0])
+    assert np.array_equal(disc.pattern.indices, maps[1])
+    rng = np.random.default_rng(len(disc.face_ids))
+    n_faces = len(disc.face_ids)
+    h = np.zeros(disc.n_cells)
+    # permeabilities over eight, two or no decades, base fluxes and
+    # derivative terms of either sign over as many: terms of one scale
+    # make a sum's rounding depend on its order. Upwinding leaves a
+    # face side without a derivative.
+    for draw in range(18):
+        decades = (8.0, 2.0, 0.0)[draw % 3]
+        K = 10.0 ** rng.uniform(-decades, 0.0, n_faces)
+        flux0, dk_l, dk_r = rng.normal(size=(3, n_faces)) * \
+            10.0 ** rng.uniform(-decades / 2, decades / 2, (3, n_faces))
+        if mode == "upwind":
+            dk_l[rng.random(n_faces) < 0.25] = 0.0
+            dk_r[rng.random(n_faces) < 0.25] = 0.0
+        disc.faces = (flux0, K, dk_l, dk_r)
+        A, J = _oracle_data(disc, maps, flux0, K, dk_l, dk_r)
+        assert np.array_equal(_bits(disc.assemble(h, 1.0, "linear").A.data),
+                              _bits(A))
+        assert np.array_equal(
+            _bits(disc.assemble_jacobian(h, 1.0, "linear").data), _bits(J))
 
 
 @pytest.mark.parametrize("kind", ["linear", "power"])

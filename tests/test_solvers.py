@@ -1,6 +1,7 @@
 """Nonlinear solver behavior: steps, line search, stopping, traces."""
 
 import re
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -317,6 +318,32 @@ def test_non_finite_mixing_takes_the_plain_step(tri512, monkeypatch):
                                SolverConfig(method="picard", nit_max=6))
     assert calls == [(512, 1), (512, 2), (512, 3), (512, 3), (512, 3)]
     assert mixed.records == plain.records
+
+
+def test_rejected_mixing_falls_back_to_the_plain_step(tri512, monkeypatch):
+    # the second mixed direction is turned uphill, so the search rejects
+    # it; the plain update is searched instead, as with anderson = 0, and
+    # the mixing restarts from an empty history
+    h0 = np.full(512, 6.0)
+    _, plain = solve_nonlinear(
+        tri512, h0, 1.0, "linear",
+        SolverConfig(method="picard", nit_max=2, anderson=0))
+    seen = []
+
+    def uphill(history, h, dh, m):
+        seen.append(len(history))
+        d = anderson_direction(history, h, dh, m)
+        return -d if len(seen) == 2 else d
+
+    monkeypatch.setattr(solvers_mod, "anderson_direction", uphill)
+    _, trace = solve_nonlinear(tri512, h0, 1.0, "linear",
+                               SolverConfig(method="picard", nit_max=3))
+    assert trace.outcome == MAX_ITERATIONS
+    assert seen == [0, 1, 0]
+    assert [r.fallback for r in trace.records] == [False, False, True,
+                                                   False]
+    assert trace.records[:3] == [replace(r, fallback=k == 2)
+                                 for k, r in enumerate(plain.records)]
 
 
 @pytest.mark.parametrize("value", [-1, 1.5, True])
