@@ -19,6 +19,11 @@ cond_2 <= n cond_1 for n x n matrices, it accepts no system whose
 2-norm condition number exceeds COND_MAX, and an exactly singular M
 (cond_1 = inf) is refused; cond_1 costs one stacked inverse where
 cond_2 costs a stacked SVD.
+
+Working memory is bounded by stages: each drops its arrays at their
+last use (the local systems once solved, the corner arrays once each
+face's rows are taken from them, the per-term expansion before the
+sort), so that no more than a few per-term arrays are held at once.
 """
 
 import numpy as np
@@ -73,22 +78,18 @@ def _half_face_fluxes(spec, cell, faces):
     return lam, -lam.sum(axis=-1), flat
 
 
-def mpfa_o_stencils(spec, is_dir, bc):
-    """Build the O-method flux stencils of the interior and Dirichlet
-    faces, as arrays (face_ids, ptr, col, w, g): face face_ids[i] has
-    base flux sum(w[k] h[col[k]] for k in ptr[i]:ptr[i+1]) + g[i],
-    oriented along the stored normal. Face ids and, per face, columns
-    ascend. is_dir and bc are the boundary table: per face, whether it
-    is Dirichlet, and its head or Neumann flux density."""
+def _solve_regions(mesh, is_dir, bc, vert, cell, faces, lam, cc, flat):
+    """Number each interaction region locally and solve its system.
+    Returns (hf, unk, b_row, nc, kloc, XY): hf maps each half-face to
+    its (vertex, face), unk marks the (vertex, face)s of unknown (not
+    Dirichlet) faces, b_row is the row start in XY of each unknown one,
+    nc is a vertex's cell count, kloc a corner's cell number at its
+    vertex, and XY holds X | y per vertex block, then zeros that stand
+    in for the X of a Dirichlet face. M and the numbering go at
+    return."""
     from .discretization import AssemblyError
 
-    mesh = spec.mesh
     n_f, n_v = mesh.n_faces, mesh.n_vertices
-    active = (mesh.face_cells[:, 1] >= 0) | is_dir
-    face_ids = np.nonzero(active)[0]
-    vert, cell, faces = _corners_by_vertex(mesh)
-    lam, cc, flat = _half_face_fluxes(spec, cell, faces)
-
     # local numbering: a vertex's faces ascend, its unknown (non-Dirichlet)
     # faces and its cells ascend; hf maps each half-face to its (vertex, face)
     vf, hf = np.unique(vert[:, None] * n_f + faces, return_inverse=True)
@@ -98,8 +99,7 @@ def mpfa_o_stencils(spec, is_dir, bc):
     nu = np.bincount(vf_vert[unk], minlength=n_v)
     nc = np.bincount(vert, minlength=n_v)
     uloc = np.cumsum(unk) - 1 - (np.cumsum(nu) - nu)[vf_vert]
-    first = np.cumsum(nc) - nc
-    kloc = np.arange(len(vert)) - first[vert]
+    kloc = np.arange(len(vert)) - (np.cumsum(nc) - nc)[vert]
     # vertex blocks laid out by system shape: M is nu x nu, the right-hand
     # side [N | r] nu x (nc + 1); row starts per unknown (vertex, face)
     shape_key = nu * (nc.max() + 1) + nc
@@ -113,7 +113,7 @@ def mpfa_o_stencils(spec, is_dir, bc):
     b_row = np.where(unk, uloc * (vc + 1) + b_off[vf_vert], n_b)
 
     # flux continuity over the half-faces of unknown faces; the Neumann
-    # flux and Dirichlet heads go to r
+    # flux and Dirichlet heads go to r. B's tail past n_b stays zero.
     k, s = np.nonzero(unk[hf])
     hs, hk = hf[k, s], hf[k]
     t_unk = unk[hk]
@@ -126,11 +126,11 @@ def mpfa_o_stencils(spec, is_dir, bc):
         weights=np.concatenate([
             -cc[k, s], -lam[k[ri], s[ri], ti] * bc[faces[k[ri], ti]],
             bc[vf_face[neu]] * 0.5 * mesh.face_length[vf_face[neu]]]),
-        minlength=n_b)
+        minlength=n_b + nc.max() + 1)
+    del k, s, hs, hk, t_unk, ri, ti, neu
 
-    # one stacked solve per shape into XY (X | y per vertex block), then
-    # zeros that stand in for the X of a Dirichlet face
-    XY = np.zeros(n_b + nc.max() + 1)
+    # one stacked solve per shape, which overwrites each block's [N | r]
+    # with its X | y: B becomes XY
     # (vertex, rank, what): the lowest vertex wins, a bad corner first
     faults = [(v, 0, f"singular interaction region in cell {c}")
               for v, c in zip(vert[flat][:1], cell[flat][:1])]
@@ -144,10 +144,22 @@ def mpfa_o_stencils(spec, is_dir, bc):
                            "singular interaction-region system"))
             continue
         sl = slice(b0, b0 + len(vs) * n_u * (n_c + 1))
-        XY[sl] = np.linalg.solve(Mg, B[sl].reshape(len(vs), n_u, -1)).ravel()
+        B[sl] = np.linalg.solve(Mg, B[sl].reshape(len(vs), n_u, -1)).ravel()
     if faults:
         v, _, what = min(faults)
         raise AssemblyError(f"vertex {v}: {what}")
+    return hf, unk, b_row, nc, kloc, B
+
+
+def _face_terms(spec, is_dir, bc, active):
+    """The stencil terms before they are summed, as (key, t_w, g): one
+    (face, cell) term per key = face n_cells + cell, weight t_w, in the
+    order their sums add them, and g per active face."""
+    mesh = spec.mesh
+    vert, cell, faces = _corners_by_vertex(mesh)
+    lam, cc, flat = _half_face_fluxes(spec, cell, faces)
+    hf, unk, b_row, nc, kloc, XY = _solve_regions(
+        mesh, is_dir, bc, vert, cell, faces, lam, cc, flat)
 
     # an active face's flux at a vertex, from its owner's half-face:
     # cc h_owner + sum_t lam_t u_t, u_t = X h + y on an unknown face and
@@ -157,25 +169,54 @@ def mpfa_o_stencils(spec, is_dir, bc):
     f, a, x_row, n_c = faces[k, s], lam[k, s], b_row[hf[k]], nc[vert[k]]
     y = np.where(unk[hf[k]], XY[x_row + n_c[:, None]], bc[faces[k]])
     g = np.bincount(np.repeat(f, 2), weights=(a * y).ravel(),
-                    minlength=n_f)[face_ids]
-    # one (face, cell) term per row and cell j of its vertex; a term
-    # exists at the owner cell and where some lam_t X_t is nonzero
-    er = np.repeat(np.arange(len(k)), n_c)
-    j = np.arange(len(er)) - np.repeat(np.cumsum(n_c) - n_c, n_c)
-    keep = j == kloc[k][er]
-    t_w = np.where(keep, cc[k, s][er], 0.0)
+                    minlength=mesh.n_faces)[active]
+    # per row: cc, the owner's cell number and its vertex's first corner;
+    # the corner arrays go here
+    c, k_own, first = cc[k, s], kloc[k], (np.cumsum(nc) - nc)[vert[k]]
+    del vert, faces, lam, cc, hf, unk, b_row, kloc, own, k, s, y
+    # one (face, cell) term per row and cell j of its vertex, a row's
+    # values repeated over its terms; a term exists at the owner cell and
+    # where some lam_t X_t is nonzero
+    j = np.arange(n_c.sum()) - np.repeat(np.cumsum(n_c) - n_c, n_c)
+    keep = j == np.repeat(k_own, n_c)
+    t_w = np.where(keep, np.repeat(c, n_c), 0.0)
     for t in (0, 1):
-        a_t, X_t = a[er, t], XY[x_row[er, t] + j]
-        t_w = t_w + a_t * X_t
-        keep = keep | ((a_t != 0.0) & (X_t != 0.0))
-    key = f[er] * mesh.n_cells + cell[first[vert[k]][er] + j]
+        X_t = XY[np.repeat(x_row[:, t], n_c) + j]
+        a_t = np.repeat(a[:, t], n_c)
+        keep |= (a_t != 0.0) & (X_t != 0.0)
+        X_t *= a_t
+        t_w += X_t
+        del a_t, X_t
+    del XY
+    key = np.repeat(f * mesh.n_cells, n_c) + \
+        cell[np.repeat(first, n_c) + j]
+    return key[keep], t_w[keep], g
+
+
+def mpfa_o_stencils(spec, is_dir, bc):
+    """Build the O-method flux stencils of the interior and Dirichlet
+    faces, as arrays (face_ids, ptr, col, w, g): face face_ids[i] has
+    base flux sum(w[k] h[col[k]] for k in ptr[i]:ptr[i+1]) + g[i],
+    oriented along the stored normal. Face ids and, per face, columns
+    ascend; ptr and col are np.intc, the index type of scipy's CSR.
+    is_dir and bc are the boundary table: per face, whether it is
+    Dirichlet, and its head or Neumann flux density."""
+    mesh = spec.mesh
+    active = (mesh.face_cells[:, 1] >= 0) | is_dir
+    face_ids = np.nonzero(active)[0]
+    key, t_w, g = _face_terms(spec, is_dir, bc, active)
 
     # one sum per (face, cell) key; a stable sort keeps each key's terms
     # in row order, the order bincount adds them in
-    by_key = np.flatnonzero(keep)[np.argsort(key[keep], kind="stable")]
+    by_key = np.argsort(key, kind="stable")
     key = key[by_key]
+    t_w = t_w[by_key]
+    del by_key
     new = np.append(True, key[1:] != key[:-1])
     terms = key[new]
-    ptr = np.searchsorted(terms, np.append(face_ids, n_f) * mesh.n_cells)
-    w = np.bincount(np.cumsum(new) - 1, weights=t_w[by_key])
-    return face_ids, ptr, terms % mesh.n_cells, w, g
+    del key
+    ptr = np.searchsorted(terms, np.append(face_ids, mesh.n_faces) *
+                          mesh.n_cells)
+    w = np.bincount(np.cumsum(new) - 1, weights=t_w)
+    col = (terms % mesh.n_cells).astype(np.intc)
+    return face_ids, ptr.astype(np.intc), col, w, g

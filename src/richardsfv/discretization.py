@@ -214,10 +214,10 @@ def _tpfa_stencils(spec, is_dir, bc):
     face_ids = np.flatnonzero((mesh.face_cells[:, 1] >= 0) | is_dir)
     cl, cr = mesh.face_cells[face_ids].T
     interior = cr >= 0
-    ptr = np.zeros(len(face_ids) + 1, dtype=np.int64)
+    ptr = np.zeros(len(face_ids) + 1, dtype=np.intc)
     np.cumsum(1 + interior, out=ptr[1:])
     first, second = ptr[:-1], ptr[:-1][interior] + 1
-    col = np.empty(ptr[-1], dtype=np.int64)
+    col = np.empty(ptr[-1], dtype=np.intc)
     col[first], col[second] = cl, cr[interior]
     w = np.empty(ptr[-1])
     w[first], w[second] = T[face_ids], -T[face_ids[interior]]
@@ -336,14 +336,13 @@ class Discretization:
         n = self.n_cells
         entry_face = np.repeat(np.arange(len(self.face_ids)),
                                np.diff(self.ptr))
-        interior_entry = self.cell_r[entry_face] >= 0
-        a_face = np.concatenate([entry_face, entry_face[interior_entry]])
-        sign_w = np.concatenate([self.w, -self.w[interior_entry]])
+        # A's entry n_e + i repeats stencil entry second[i], negated, on
+        # its interior face's second cell
+        second = np.flatnonzero(self.cell_r[entry_face] >= 0)
         cl, cr = self.cell_l[self.int_faces], self.int_r
         keys = np.concatenate([
             self.cell_l[entry_face] * n + self.col,
-            self.cell_r[entry_face[interior_entry]] * n +
-            self.col[interior_entry],
+            self.cell_r[entry_face[second]] * n + self.col[second],
             cl * n + cl, cl * n + cr, cr * n + cl, cr * n + cr])
         at = np.argsort(keys, kind="stable")
         keys = keys[at]
@@ -352,29 +351,38 @@ class Discretization:
         np.not_equal(keys[1:], keys[:-1], out=new[1:-1])
         bounds = np.flatnonzero(new)
         rows, cols = np.divmod(keys[bounds[:-1]], n)
+        del keys, new
         indptr = np.zeros(n + 1, dtype=np.intc)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        indices = cols.astype(np.intc)
+        del rows, cols
 
-        n_a, n_j = len(a_face), 2 * len(cl)
+        n_e, n_j = len(entry_face), 2 * len(cl)
+        n_a = n_e + len(second)
         of_a = at < n_a
         a_ptr = np.zeros(len(at) + 1, dtype=np.intc)
         np.cumsum(of_a, out=a_ptr[1:])
         a_ptr = a_ptr[bounds]
         a_at, j_at = at[of_a], at[~of_a] - n_a
-        neg = j_at >= n_j  # the (cr, cl) and (cr, cr) entries
+        del at, of_a
         slots = len(bounds) - 1
-        a_op = sps.csr_matrix(
-            (sign_w[a_at], a_face[a_at].astype(np.intc), a_ptr),
-            shape=(slots, len(self.face_ids)))
+        neg = j_at >= n_j  # the (cr, cl) and (cr, cr) entries
         j_op = sps.csr_matrix(
-            (1.0 - 2.0 * neg, (j_at - n_j * neg).astype(np.intc),
+            (np.where(neg, -1.0, 1.0), (j_at - n_j * neg).astype(np.intc),
              (bounds - a_ptr).astype(np.intc)), shape=(slots, n_j))
-        return SparsityPattern(indptr, cols.astype(np.intc), a_op, j_op)
+        neg = a_at >= n_e  # the entries on second cells
+        a_at = np.concatenate([np.arange(n_e), second])[a_at]
+        a_w = self.w[a_at]
+        a_w *= np.where(neg, -1.0, 1.0)
+        a_op = sps.csr_matrix((a_w, entry_face.astype(np.intc)[a_at], a_ptr),
+                              shape=(slots, len(self.face_ids)))
+        return SparsityPattern(indptr, indices, a_op, j_op)
 
     @cached_property
     def flux_op(self):
         """The face x cell CSR matrix of the stencils (w, col, ptr),
-        built on first use: the base fluxes are flux_op @ h + g."""
+        built on first use, which shares the three arrays: the base
+        fluxes are flux_op @ h + g."""
         return sps.csr_matrix((self.w, self.col, self.ptr),
                               shape=(len(self.face_ids), self.n_cells))
 

@@ -100,25 +100,29 @@ class Ordering:
         self.shape = (n, n)
         nnz = len(indices)
         # entry numbers, from 1 so that no entry is an explicit zero
-        self.entries = sps.csr_matrix(
+        A = self._csr = sps.csr_matrix(
             (np.arange(1, nnz + 1), np.array(indices), np.array(indptr)),
             shape=self.shape)
-        if not self.entries.has_canonical_format:
+        if not A.has_canonical_format:
             raise ValueError(
                 "an ordering needs a pattern with sorted indices and no "
                 "duplicates")
-        self.indptr, self.indices = self.entries.indptr, self.entries.indices
+        self.indptr, self.indices = A.indptr, A.indices
         standin = self.matrix(np.full(nnz, -1.0)) + \
             sps.diags(np.diff(self.indptr) + 1.0)
         self.p = np.argsort(spla.spilu(
             standin.tocsc(), drop_tol=1.0, fill_factor=1,
             permc_spec="MMD_AT_PLUS_A", relax=RELAX,
             panel_size=PANEL_SIZE).perm_c)
+        del standin
         # entry numbers laid out as P A P^T in CSC are the gather map;
         # marked canonical here once, so that splu checks no copy again
-        PAPt = self.permuted_entries = self.entries[self.p].tocsc()[:, self.p]
+        PAPt = self._csc = A[self.p].tocsc()[:, self.p]
         PAPt.sum_duplicates()
-        self.gather = PAPt.data - 1
+        PAPt.data -= 1
+        # the two templates, which matrix and permuted copy, carry gather
+        # as their data: nothing reads the entry numbers again
+        self.gather = A.data = PAPt.data
         self.csc_indices, self.csc_indptr = PAPt.indices, PAPt.indptr
         for shared in (self.indptr, self.indices, PAPt.indices, PAPt.indptr):
             shared.flags.writeable = False
@@ -133,14 +137,14 @@ class Ordering:
         """A new float CSR matrix of this pattern with entries data, on
         the Ordering's indptr and indices: a shallow copy, which scipy
         does not validate again."""
-        A = copy.copy(self.entries)
+        A = copy.copy(self._csr)
         A.data = np.asarray(data, dtype=float)
         return A
 
     def permuted(self, A):
         """A new P A P^T in CSC form, for A a float CSR matrix of this
         pattern, on the Ordering's csc_indices and csc_indptr."""
-        PAPt = copy.copy(self.permuted_entries)
+        PAPt = copy.copy(self._csc)
         # every gather index is in range; mode="clip" skips the check
         PAPt.data = A.data.take(self.gather, mode="clip")
         return PAPt

@@ -719,6 +719,18 @@ def test_fixed_pattern_assembly_matches_coo_build(scheme, grid, q, kind):
 
 
 @pytest.mark.parametrize("scheme", ["tpfa", "mpfa-o"])
+def test_flux_op_shares_the_stencil_arrays(scheme):
+    # the stencils are held once: col and ptr are CSR's np.intc, so the
+    # flux operator copies none of w, col and ptr
+    disc = Discretization(build_dam("vgm", "400"), scheme)
+    op = disc.flux_op
+    assert disc.col.dtype == disc.ptr.dtype == np.intc
+    for mine, its in ((disc.w, op.data), (disc.col, op.indices),
+                      (disc.ptr, op.indptr)):
+        assert np.shares_memory(mine, its)
+
+
+@pytest.mark.parametrize("scheme", ["tpfa", "mpfa-o"])
 @pytest.mark.parametrize("model", ["vgm", "unconfined"])
 @pytest.mark.parametrize("kind, q", [("linear", 1.0), ("power", 0.6)])
 @pytest.mark.parametrize("kr_mode", ["central", "upwind"])

@@ -407,6 +407,36 @@ def test_an_ordering_hands_out_new_matrices_and_keeps_no_buffer():
                 order.csc_indices.flags.writeable)
 
 
+def _held_bytes(obj):
+    """Bytes of the distinct numpy buffers that obj's attributes hold,
+    directly or through a scipy sparse matrix."""
+    arrays = []
+    for value in vars(obj).values():
+        if sps.issparse(value):
+            arrays += [value.data, value.indices, value.indptr]
+        elif isinstance(value, np.ndarray):
+            arrays.append(value)
+    buffers = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        buffers[id(a)] = a
+    return sum(a.nbytes for a in buffers.values())
+
+
+@pytest.mark.parametrize("scheme", ["tpfa", "mpfa-o"])
+def test_an_ordering_holds_no_per_entry_number_array(scheme):
+    # per entry: the CSR and CSC indices (np.intc) and gather (intp); per
+    # row: p (intp) and the two indptr (np.intc). The entry numbers the
+    # ordering is built from are not kept, in a template or elsewhere.
+    order = Discretization(build_dam("vgm", "1900"), scheme).order
+    n, nnz = order.shape[0], len(order.indices)
+    ic, ip = np.dtype(np.intc).itemsize, np.dtype(np.intp).itemsize
+    assert order.gather.dtype == np.intp
+    assert _held_bytes(order) == nnz * (2 * ic + ip) + n * ip + \
+        2 * (n + 1) * ic
+
+
 def test_ordering_refuses_a_non_canonical_pattern():
     indptr = np.array([0, 2, 3])
     with pytest.raises(ValueError, match="sorted indices and no duplicates"):
