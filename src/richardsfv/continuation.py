@@ -11,6 +11,7 @@ build refuses gives rows too.
 """
 
 import hashlib
+import itertools
 import logging
 import time
 from dataclasses import dataclass, field, replace
@@ -32,6 +33,8 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+# logs the unconfined clamp warning once per curve evaluation
+_CONSTITUTIVE_LOG = logging.getLogger("richardsfv.constitutive")
 
 DQ_INCREASE = 2.0  # dq's factor after an accepted level above q = 0
 DQ_DECREASE = 0.5  # dq's factor after a failed attempt
@@ -97,6 +100,22 @@ def _state_hash(h):
     return hashlib.sha256(np.ascontiguousarray(h).tobytes()).hexdigest()[:16]
 
 
+def _solve_attempt(disc, h, q, kind, solver_cfg):
+    """solve_nonlinear, with only the first record of the constitutive
+    logger let through: one clamp warning per attempt, however many of
+    its curve evaluations clamp."""
+    seen = itertools.count()
+
+    def first(record):
+        return next(seen) == 0
+
+    _CONSTITUTIVE_LOG.addFilter(first)
+    try:
+        return solve_nonlinear(disc, h, q, kind, solver_cfg)
+    finally:
+        _CONSTITUTIVE_LOG.removeFilter(first)
+
+
 def run_continuation(disc, solver_cfg=None, cont_cfg=None, h0=None):
     """Drive the continuation from q = 0 to q = 1 on a Discretization.
 
@@ -105,6 +124,7 @@ def run_continuation(disc, solver_cfg=None, cont_cfg=None, h0=None):
     Dirichlet boundary heads). Returns (h, ContinuationReport);
     report.success is True only when the q = 1 problem converged. A
     failed q = 0 level is fatal (no retry): its own iterate is returned.
+    Each attempt logs at most one unconfined clamp warning, its first.
     """
     solver_cfg = solver_cfg or SolverConfig()
     cont_cfg = cont_cfg or ContinuationConfig()
@@ -116,7 +136,7 @@ def run_continuation(disc, solver_cfg=None, cont_cfg=None, h0=None):
     h_hash = _state_hash(h)
     q_cur, q_next, dq = 0.0, 0.0, 1.0
     while True:
-        h_try, trace = solve_nonlinear(disc, h, q_next, kind, solver_cfg)
+        h_try, trace = _solve_attempt(disc, h, q_next, kind, solver_cfg)
         rec = StepRecord(q_next, trace.outcome, trace.iterations, trace,
                          h_hash, _state_hash(h_try))
         report.steps.append(rec)
@@ -190,8 +210,8 @@ def sweep(spec, entries):
 
     Each scheme's Discretization is built once, when its first entry
     runs, and all of that scheme's entries run on it: its stencils,
-    pattern, ordering and flux operator depend only on (spec, scheme),
-    and the last three, which a Discretization builds on first use, are
+    flux operator and pattern depend only on (spec, scheme), and the
+    pattern, which a Discretization builds at its first assembly, is
     built with it, before the first timed continuation.
     A scheme whose build raises AssemblyError is refused: the reason is
     logged once and each of its entries is a row with outcome "refused",
@@ -209,8 +229,8 @@ def sweep(spec, entries):
             except AssemblyError as exc:
                 logger.warning("scheme %s refused: %s", entry.scheme, exc)
                 disc = None
-            else:  # built now, so that no row times them
-                disc.pattern, disc.flux_op, disc.order
+            else:  # built now, so that no row times it
+                disc.pattern
             discs[entry.scheme] = disc
         disc = discs[entry.scheme]
         labels = (entry.scheme, entry.solver_cfg.method, entry.cont_cfg.kind)

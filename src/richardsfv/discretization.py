@@ -148,14 +148,14 @@ class Assembly:
 
 
 class SparsityPattern(NamedTuple):
-    """Fixed CSR structure (indptr, indices) of a Discretization's
-    matrices, and the two CSR operators that fill their data, one row
-    per data slot: a_op @ K is A's data, for K the face permeabilities,
-    and j_op @ [dk_l flux0; dk_r flux0] on the interior faces is the
+    """Fixed sparsity pattern of a Discretization's matrices: the
+    Ordering that holds its CSR structure and hands out every matrix,
+    and the two CSR operators that fill their data, one row per data
+    slot: a_op @ K is A's data, for K the face permeabilities, and
+    j_op @ [dk_l flux0; dk_r flux0] on the interior faces is the
     Jacobian's kr-derivative part."""
 
-    indptr: np.ndarray
-    indices: np.ndarray
+    order: linalg.Ordering
     a_op: sps.csr_matrix  # slot x face: the signed stencil weights
     j_op: sps.csr_matrix  # slot x 2 interior faces: weights +-1
 
@@ -266,19 +266,19 @@ class Discretization:
     Building a Discretization validates the problem, reads its boundary
     conditions once into the boundary table (is_dir, bc, per mesh face;
     see _boundary_table) and computes the scheme stencils from it once,
-    with the face topology every evaluation uses:
+    with the flux operator (flux_op), the face x cell CSR matrix of the
+    stencils (w, col, ptr), and the face topology every evaluation uses:
     the Dirichlet faces (dir_at), the right cell clamped to 0 on them
     (cell_r0), and the interior faces with their right cells (int_faces,
-    int_r). On first use it also fixes the one sparsity pattern of its
-    Picard matrices and Jacobians (pattern), a fill-reducing ordering of
-    that pattern (order), which hands out every assembled matrix and
-    which every linear solve reuses, and the flux operator (flux_op),
-    the face x cell CSR matrix of the stencils (w, col, ptr). The
-    per-iteration work is only constitutive evaluation, one product
-    with the flux operator and, for a matrix, one product with each of
-    the pattern's operators it needs (a_op for A; a_op and j_op for J).
-    Only assemble_jacobian needs the kr derivatives; residual, assemble
-    and face_fluxes evaluate kr alone.
+    int_r). Its first assembly fixes the one sparsity pattern of its
+    Picard matrices and Jacobians (pattern), with the fill-reducing
+    ordering of that pattern (order), which hands out every assembled
+    matrix and which every linear solve reuses. The per-iteration work
+    is only constitutive evaluation, one product with the flux operator
+    and, for a matrix, one product with each of the pattern's operators
+    it needs (a_op for A; a_op and j_op for J). Only assemble_jacobian
+    needs the kr derivatives; residual, assemble and face_fluxes
+    evaluate kr alone.
     """
 
     def __init__(self, spec, scheme="tpfa"):
@@ -295,6 +295,9 @@ class Discretization:
             from ._mpfa import mpfa_o_stencils
             stencils = mpfa_o_stencils(spec, self.is_dir, self.bc)
         self.face_ids, self.ptr, self.col, self.w, self.g = stencils
+        # shares w, col and ptr: the base fluxes are flux_op @ h + g
+        self.flux_op = sps.csr_matrix((self.w, self.col, self.ptr),
+                                      shape=(len(self.face_ids), self.n_cells))
         self.cell_l = mesh.face_cells[self.face_ids, 0]
         self.cell_r = mesh.face_cells[self.face_ids, 1]
         # fixed face topology: the Dirichlet faces (cell_r < 0), the right
@@ -323,16 +326,17 @@ class Discretization:
 
     @cached_property
     def pattern(self):
-        """The one CSR sparsity pattern of A(h) and J(h), built on first
-        use: every stencil entry of A and the four kr-derivative entries
-        (rows and columns cl, cr) of each interior face, which for TPFA
-        and MPFA-O fall inside A's. One stable sort of the entries by
-        (row, column) gives both the slots and the operators' rows, each
-        row listing its entries in the order they are generated here:
-        A's stencil entries on the faces' first cells, then on the
-        interior faces' second cells with the weights negated, then the
-        derivative entries (cl, cl) +dk_l, (cl, cr) +dk_r, (cr, cl)
-        -dk_l and (cr, cr) -dk_r, each times flux0."""
+        """The one sparsity pattern of A(h) and J(h), built at the first
+        assembly: every stencil entry of A and the four kr-derivative
+        entries (rows and columns cl, cr) of each interior face, which
+        for TPFA and MPFA-O fall inside A's. One stable sort of the
+        entries by (row, column) gives both the slots and the operators'
+        rows, each row listing its entries in the order they are
+        generated here: A's stencil entries on the faces' first cells,
+        then on the interior faces' second cells with the weights
+        negated, then the derivative entries (cl, cl) +dk_l, (cl, cr)
+        +dk_r, (cr, cl) -dk_l and (cr, cr) -dk_r, each times flux0. The
+        Ordering, built last, holds the only copy of indptr and indices."""
         n = self.n_cells
         entry_face = np.repeat(np.arange(len(self.face_ids)),
                                np.diff(self.ptr))
@@ -376,24 +380,15 @@ class Discretization:
         a_w *= np.where(neg, -1.0, 1.0)
         a_op = sps.csr_matrix((a_w, entry_face.astype(np.intc)[a_at], a_ptr),
                               shape=(slots, len(self.face_ids)))
-        return SparsityPattern(indptr, indices, a_op, j_op)
+        del a_w, a_at, a_ptr, entry_face, second, bounds, j_at, neg
+        return SparsityPattern(linalg.Ordering(indptr, indices), a_op, j_op)
 
-    @cached_property
-    def flux_op(self):
-        """The face x cell CSR matrix of the stencils (w, col, ptr),
-        built on first use, which shares the three arrays: the base
-        fluxes are flux_op @ h + g."""
-        return sps.csr_matrix((self.w, self.col, self.ptr),
-                              shape=(len(self.face_ids), self.n_cells))
-
-    @cached_property
+    @property
     def order(self):
-        """The fill-reducing Ordering of the pattern, built on first use
-        (the first assembly) and passed to every linear solve of this
-        discretization. Every A and J is order.matrix(...) and shares
-        its index arrays, so a solve recognises the pattern without
-        comparing it."""
-        return linalg.Ordering(self.pattern.indptr, self.pattern.indices)
+        """The pattern's fill-reducing Ordering, passed to every linear
+        solve. Every A and J is order.matrix(...) and shares its index
+        arrays, so a solve recognises the pattern without comparing it."""
+        return self.pattern.order
 
     # -- per-state evaluations ------------------------------------------
 
@@ -442,7 +437,7 @@ class Discretization:
         data = pat.a_op @ K
         data += pat.j_op @ np.concatenate([dk_l[self.int_faces] * fl,
                                            dk_r[self.int_faces] * fl])
-        J = self.order.matrix(data)
+        J = pat.order.matrix(data)
         if with_residual:
             return J, self._residual(flux0, K)
         return J

@@ -5,8 +5,8 @@ Every system is factorized by sparse LU (SuperLU through
 recomputed per factorization: an Ordering holds one symmetric
 permutation P for a sparsity pattern, found once by minimum degree on
 the pattern of A^T + A, and solve factors P A P^T in its natural order.
-A Discretization keeps one Ordering for the fixed pattern of all its
-matrices; a solve given no Ordering builds one from A's own pattern.
+A Discretization's sparsity pattern carries the one Ordering of all
+its matrices; a solve given no Ordering builds one from A's own pattern.
 Every solve takes one path: A is checked (square, no empty row) and
 brought to canonical float CSR form, then compared with the Ordering's
 pattern and permuted to P A P^T (see Ordering). A matrix a

@@ -1,5 +1,7 @@
 """Continuation driver: step policy, bookkeeping, reports, sweeps."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,29 @@ def test_one_state_hash_per_attempt_plus_guess(dam_disc, monkeypatch):
         [rep.steps[0].final_hash] * 2 + [rep.steps[2].final_hash]
 
 
+def test_clamp_warning_logged_once_per_attempt(monkeypatch, caplog):
+    # each of an attempt's three clamping curve evaluations warns; the
+    # attempt logs the first, and a call outside a run warns again
+    disc = Discretization(build_dam("unconfined", "cartesian:4x4"), "tpfa")
+    h_low = np.full(disc.n_cells, 6.0)
+    h_low[:3] = -1e9  # three cells below the theta floor
+    fake, calls = _scripted(
+        lambda q, n: MAX_ITERATIONS if n == 1 else CONVERGED)
+
+    def clamping(disc, h0, q, kind, cfg=None):
+        for need_deriv in (True, False, True):
+            disc.cell_state(h_low, need_deriv)
+        return fake(disc, h0, q, kind, cfg)
+
+    monkeypatch.setattr(cont_mod, "solve_nonlinear", clamping)
+    with caplog.at_level(logging.WARNING, logger="richardsfv.constitutive"):
+        run_continuation(disc, SolverConfig(), ContinuationConfig())
+        disc.cell_state(h_low)
+    assert calls == [0.0, 1.0, 0.5, 1.0]
+    assert [r.getMessage() for r in caplog.records] == \
+        ["unconfined theta floor active in 3 cells"] * 5
+
+
 def test_initial_guess_is_dirichlet_mean(dam_disc, monkeypatch):
     seen = {}
 
@@ -268,13 +293,13 @@ def test_sweep_builds_one_discretization_per_scheme(monkeypatch):
 
 
 def test_sweep_times_no_setup(monkeypatch):
-    # the structures a Discretization builds on first use are built
+    # the pattern a Discretization builds at its first assembly is built
     # before every row's timed continuation, the first one included
     seen = []
 
     def built(disc, solver_cfg, cont_cfg):
         seen.append(disc.scheme)
-        assert {"pattern", "flux_op", "order"} <= set(vars(disc))
+        assert "pattern" in vars(disc)
         return run_continuation(disc, solver_cfg, cont_cfg)
 
     monkeypatch.setattr(cont_mod, "run_continuation", built)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
-from richardsfv import _kernels, _mpfa
+from richardsfv import _kernels, _mpfa, linalg
 from richardsfv.benchmarks import (build_dam, build_layered_slab,
                                    build_verification_linear,
                                    dam_conductivity)
@@ -728,6 +728,43 @@ def test_flux_op_shares_the_stencil_arrays(scheme):
     for mine, its in ((disc.w, op.data), (disc.col, op.indices),
                       (disc.ptr, op.indptr)):
         assert np.shares_memory(mine, its)
+
+
+@pytest.mark.parametrize("first", ["assemble", "assemble_jacobian"])
+@pytest.mark.parametrize("scheme", ["tpfa", "mpfa-o"])
+def test_pattern_and_ordering_built_once_at_the_first_assembly(
+        scheme, first, monkeypatch):
+    # the flux operator is built with the stencils, and the pattern, with
+    # its one Ordering, by the first assembly, not by an evaluation
+    # that needs no matrix
+    disc = Discretization(build_dam("vgm", "400"), scheme)
+    op = vars(disc)["flux_op"]
+    for mine, its in ((disc.w, op.data), (disc.col, op.indices),
+                      (disc.ptr, op.indptr)):
+        assert np.shares_memory(mine, its)
+    orderings = []
+    init = linalg.Ordering.__init__
+
+    def counted(self, *pattern):
+        orderings.append(self)
+        init(self, *pattern)
+
+    monkeypatch.setattr(linalg.Ordering, "__init__", counted)
+    h = np.linspace(3.0, 9.0, disc.n_cells)
+    disc.residual(h, 0.5, "linear")
+    disc.face_fluxes(h, 0.5, "linear")
+    disc.flux_imbalance(h, 0.5, "linear")
+    assert "pattern" not in vars(disc) and not orderings
+    getattr(disc, first)(h, 0.5, "linear")
+    assert "pattern" in vars(disc) and orderings == [disc.order]
+    matrices = [disc.assemble(h, q, kind).A for q in (0.0, 0.5)
+                for kind in ("linear", "power")] + \
+        [disc.assemble_jacobian(h, q, kind) for q in (0.0, 0.5)
+         for kind in ("linear", "power")]
+    assert orderings == [disc.order]
+    for M in matrices:
+        assert M.indptr is disc.order.indptr
+        assert M.indices is disc.order.indices
 
 
 @pytest.mark.parametrize("scheme", ["tpfa", "mpfa-o"])

@@ -257,8 +257,8 @@ class GivenFaces(Discretization):
 def test_operators_are_the_former_scatter(scheme, grid, mode):
     disc = GivenFaces(build_dam("vgm", grid, mode), scheme)
     maps = _oracle_pattern(disc)
-    assert np.array_equal(disc.pattern.indptr, maps[0])
-    assert np.array_equal(disc.pattern.indices, maps[1])
+    assert np.array_equal(disc.order.indptr, maps[0])
+    assert np.array_equal(disc.order.indices, maps[1])
     rng = np.random.default_rng(len(disc.face_ids))
     n_faces = len(disc.face_ids)
     h = np.zeros(disc.n_cells)
