@@ -9,7 +9,9 @@ for the wrapper, to the kernel assembly uses), except vgm_kr_of_theta,
 an independent Mualem-of-theta formula.
 """
 
+import itertools
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Union
 
@@ -181,7 +183,8 @@ def cell_curves(model, h, z_centroid, z_min, z_max, need_deriv=True):
 
     VGM evaluates at psi = h - z_centroid; the unconfined model uses the
     cell vertical extents directly, and a clamp at its theta floor is
-    logged here, once per call. When need_deriv is false only kr is
+    logged here, once per call (once per block of _one_clamp_warning).
+    When need_deriv is false only kr is
     evaluated, and theta, dtheta_dh and dkr_dh are None.
     """
     if isinstance(model, VgmParams):
@@ -194,3 +197,19 @@ def cell_curves(model, h, z_centroid, z_min, z_max, need_deriv=True):
     if n_clamped:
         logger.warning("unconfined theta floor active in %d cells", n_clamped)
     return th, dth, kr, dkr
+
+
+@contextmanager
+def _one_clamp_warning():
+    """Within the block, only the first clamp warning of cell_curves is
+    logged, however many of its calls clamp."""
+    seen = itertools.count()
+
+    def first(record):
+        return next(seen) == 0
+
+    logger.addFilter(first)
+    try:
+        yield
+    finally:
+        logger.removeFilter(first)

@@ -11,14 +11,13 @@ build refuses gives rows too.
 """
 
 import hashlib
-import itertools
 import logging
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .constitutive import _kind_code
+from .constitutive import _kind_code, _one_clamp_warning
 from .discretization import AssemblyError, Discretization, _check_scheme
 from .solvers import CONVERGED, SolverConfig, solve_nonlinear
 
@@ -33,8 +32,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-# logs the unconfined clamp warning once per curve evaluation
-_CONSTITUTIVE_LOG = logging.getLogger("richardsfv.constitutive")
 
 DQ_INCREASE = 2.0  # dq's factor after an accepted level above q = 0
 DQ_DECREASE = 0.5  # dq's factor after a failed attempt
@@ -100,22 +97,6 @@ def _state_hash(h):
     return hashlib.sha256(np.ascontiguousarray(h).tobytes()).hexdigest()[:16]
 
 
-def _solve_attempt(disc, h, q, kind, solver_cfg):
-    """solve_nonlinear, with only the first record of the constitutive
-    logger let through: one clamp warning per attempt, however many of
-    its curve evaluations clamp."""
-    seen = itertools.count()
-
-    def first(record):
-        return next(seen) == 0
-
-    _CONSTITUTIVE_LOG.addFilter(first)
-    try:
-        return solve_nonlinear(disc, h, q, kind, solver_cfg)
-    finally:
-        _CONSTITUTIVE_LOG.removeFilter(first)
-
-
 def run_continuation(disc, solver_cfg=None, cont_cfg=None, h0=None):
     """Drive the continuation from q = 0 to q = 1 on a Discretization.
 
@@ -136,7 +117,8 @@ def run_continuation(disc, solver_cfg=None, cont_cfg=None, h0=None):
     h_hash = _state_hash(h)
     q_cur, q_next, dq = 0.0, 0.0, 1.0
     while True:
-        h_try, trace = _solve_attempt(disc, h, q_next, kind, solver_cfg)
+        with _one_clamp_warning():
+            h_try, trace = solve_nonlinear(disc, h, q_next, kind, solver_cfg)
         rec = StepRecord(q_next, trace.outcome, trace.iterations, trace,
                          h_hash, _state_hash(h_try))
         report.steps.append(rec)

@@ -266,19 +266,18 @@ class Discretization:
     Building a Discretization validates the problem, reads its boundary
     conditions once into the boundary table (is_dir, bc, per mesh face;
     see _boundary_table) and computes the scheme stencils from it once,
-    with the flux operator (flux_op), the face x cell CSR matrix of the
-    stencils (w, col, ptr), and the face topology every evaluation uses:
-    the Dirichlet faces (dir_at), the right cell clamped to 0 on them
-    (cell_r0), and the interior faces with their right cells (int_faces,
-    int_r). Its first assembly fixes the one sparsity pattern of its
-    Picard matrices and Jacobians (pattern), with the fill-reducing
-    ordering of that pattern (order), which hands out every assembled
-    matrix and which every linear solve reuses. The per-iteration work
-    is only constitutive evaluation, one product with the flux operator
-    and, for a matrix, one product with each of the pattern's operators
-    it needs (a_op for A; a_op and j_op for J). Only assemble_jacobian
-    needs the kr derivatives; residual, assemble and face_fluxes
-    evaluate kr alone.
+    with their face x cell CSR matrix (flux_op, sharing w, col and ptr)
+    and the face topology every evaluation uses: the Dirichlet faces
+    (dir_at), the right cell clamped to 0 on them (cell_r0), and the
+    interior faces with their right cells (int_faces, int_r). Its first
+    assembly fixes the one sparsity pattern of its Picard matrices and
+    Jacobians (pattern) with its fill-reducing ordering (order), which
+    hands out every matrix and which every linear solve reuses. The
+    per-iteration work is only constitutive evaluation, one product with
+    the flux operator and, for a matrix, one product with each of the
+    pattern's operators it needs (a_op for A; a_op and j_op for J). Only
+    assemble_jacobian needs the kr derivatives; residual, assemble and
+    face_fluxes evaluate kr alone.
     """
 
     def __init__(self, spec, scheme="tpfa"):
@@ -327,16 +326,21 @@ class Discretization:
     @cached_property
     def pattern(self):
         """The one sparsity pattern of A(h) and J(h), built at the first
-        assembly: every stencil entry of A and the four kr-derivative
-        entries (rows and columns cl, cr) of each interior face, which
-        for TPFA and MPFA-O fall inside A's. One stable sort of the
-        entries by (row, column) gives both the slots and the operators'
-        rows, each row listing its entries in the order they are
-        generated here: A's stencil entries on the faces' first cells,
-        then on the interior faces' second cells with the weights
-        negated, then the derivative entries (cl, cl) +dk_l, (cl, cr)
-        +dk_r, (cr, cl) -dk_l and (cr, cr) -dk_r, each times flux0. The
-        Ordering, built last, holds the only copy of indptr and indices."""
+        assembly; its Ordering holds the only indptr and indices."""
+        indptr, indices, a_op, j_op = self._pattern_arrays()
+        return SparsityPattern(linalg.Ordering(indptr, indices), a_op, j_op)
+
+    def _pattern_arrays(self):
+        """(indptr, indices, a_op, j_op) of the pattern: every stencil
+        entry of A and the four kr-derivative entries (rows and columns
+        cl, cr) of each interior face, which for TPFA and MPFA-O fall
+        inside A's. One stable sort of the entries by (row, column) gives
+        both the slots and the operators' rows, each row listing its
+        entries in the order they are generated here: A's stencil entries
+        on the faces' first cells, then on the interior faces' second
+        cells with the weights negated, then the derivative entries
+        (cl, cl) +dk_l, (cl, cr) +dk_r, (cr, cl) -dk_l and (cr, cr)
+        -dk_r, each times flux0."""
         n = self.n_cells
         entry_face = np.repeat(np.arange(len(self.face_ids)),
                                np.diff(self.ptr))
@@ -380,8 +384,7 @@ class Discretization:
         a_w *= np.where(neg, -1.0, 1.0)
         a_op = sps.csr_matrix((a_w, entry_face.astype(np.intc)[a_at], a_ptr),
                               shape=(slots, len(self.face_ids)))
-        del a_w, a_at, a_ptr, entry_face, second, bounds, j_at, neg
-        return SparsityPattern(linalg.Ordering(indptr, indices), a_op, j_op)
+        return indptr, indices, a_op, j_op
 
     @property
     def order(self):
@@ -424,7 +427,8 @@ class Discretization:
     def assemble(self, h, q, kind):
         """Picard matrix A(h), right-hand side b(h), and F = A h - b."""
         flux0, K, _, _ = self._face_system(h, q, kind, False)
-        A = self.order.matrix(self.pattern.a_op @ K)
+        pat = self.pattern
+        A = pat.order.matrix(pat.a_op @ K)
         b = self.b_base - self._scatter(K * self.g)
         return Assembly(A=A, b=b, F=self._residual(flux0, K))
 
